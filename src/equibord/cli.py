@@ -18,6 +18,7 @@ from .errors import PreconditionError, SpecParseError
 from .exprs import GRAMMAR_DOC, ExprContext, as_fraction, describe_value, eval_expression
 from .flags import Flag, aug, coaug, parse_flag
 from .groups import parse_character, parse_group
+from .render import shown, shown_json
 from .symalg import presentation, to_b_generators, to_c_generators
 from .verify import default_config, load_config, run_suite
 
@@ -91,12 +92,13 @@ def _context_header(group, flag) -> list:
     ]
 
 
-def _shown(obj, asg):
-    return str(obj.specialize(asg)) if asg else str(obj)
-
-
-def _shown_json(obj, asg):
-    return (obj.specialize(asg) if asg else obj).to_json()
+def _coaug_section(flag, chars, asg) -> tuple:
+    """Text lines and JSON entries for the coaugmentation classes of the
+    characters that occur in the flag."""
+    coaugs = [(al, coaug(flag, al)) for al in chars if flag.first_index(al) is not None]
+    lines = [f"theta[{al}] = {shown(cls, asg)}" for al, cls in coaugs]
+    entries = [{"alpha": str(al), "class": shown_json(cls, asg)} for al, cls in coaugs]
+    return lines, entries
 
 
 def cmd_theta_table(args) -> int:
@@ -105,26 +107,23 @@ def cmd_theta_table(args) -> int:
     n = flag.length
     chars = group.characters()
     rows = [(al, [aug(flag, al, i) for i in range(n + 1)]) for al in chars]
-    coaugs = [(al, coaug(flag, al)) for al in chars if flag.first_index(al) is not None]
+    coaug_lines, coaug_entries = _coaug_section(flag, chars, asg)
     lines = _context_header(group, flag)
     lines.append(f"theta(alpha)(y(V_i)) for i = 0..{n}:")
     for al, vals in rows:
-        lines.append(f"{al} | " + " | ".join(_shown(v, asg) for v in vals))
+        lines.append(f"{al} | " + " | ".join(shown(v, asg) for v in vals))
     lines.append("coaugmentation classes:")
-    for al, cls in coaugs:
-        lines.append(f"theta[{al}] = {_shown(cls, asg)}")
+    lines += coaug_lines
     doc = {
         "schema": "equibord/theta-table/v1",
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
         "degree_convention": "homological",
         "augmentations": [
-            {"alpha": str(al), "values": [_shown_json(v, asg) for v in vals]}
+            {"alpha": str(al), "values": [shown_json(v, asg) for v in vals]}
             for al, vals in rows
         ],
-        "coaugmentations": [
-            {"alpha": str(al), "class": _shown_json(cls, asg)} for al, cls in coaugs
-        ],
+        "coaugmentations": coaug_entries,
     }
     return _emit(args, doc, lines)
 
@@ -132,24 +131,15 @@ def cmd_theta_table(args) -> int:
 def cmd_thetas(args) -> int:
     group, flag = _resolve_context(args)
     asg = _maybe_assignment(args, flag)
-    coaugs = [
-        (al, coaug(flag, al))
-        for al in group.characters()
-        if flag.first_index(al) is not None
-    ]
-    lines = _context_header(group, flag)
-    for al, cls in coaugs:
-        lines.append(f"theta[{al}] = {_shown(cls, asg)}")
+    coaug_lines, coaug_entries = _coaug_section(flag, group.characters(), asg)
     doc = {
         "schema": "equibord/thetas/v1",
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
         "degree_convention": "homological",
-        "coaugmentations": [
-            {"alpha": str(al), "class": _shown_json(cls, asg)} for al, cls in coaugs
-        ],
+        "coaugmentations": coaug_entries,
     }
-    return _emit(args, doc, lines)
+    return _emit(args, doc, _context_header(group, flag) + coaug_lines)
 
 
 def cmd_present(args) -> int:

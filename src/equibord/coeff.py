@@ -1,9 +1,8 @@
 """Coefficient ring: integer polynomials on Euler symbols of nontrivial characters.
 
-An element is stored sparsely as {monomial: coefficient}.  A monomial maps
-Euler symbols to positive exponents and is encoded as a tuple of
-(character residues, exponent) pairs sorted by residues; the empty tuple is
-the unit monomial.  Every symbol e[gamma] sits in homological degree -2, so
+An element is stored sparsely as {monomial: int} in the format of the
+sparse kernel, with the character residues of the Euler symbols as the
+variables.  Every symbol e[gamma] sits in homological degree -2, so
 a monomial of exponent sum k has degree -2k.  There is no symbol for the
 trivial character: the Euler class of a representation with a trivial
 summand is zero outright.
@@ -13,49 +12,29 @@ from __future__ import annotations
 
 from .errors import MismatchError, PreconditionError
 from .groups import AbelianGroup, Character, Representation, format_residues
-from .render import format_power, join_signed, signed_product
+from .render import flat_terms, join_signed, signed_product
+from .sparse import (
+    RingOps, add_terms, divexact_terms, grlex_key, mono, mono_degree, mul_terms, power, sorted_terms,
+)
 
-Mono = tuple  # ((residues, exponent), ...), sorted by residues
-
-_char_pos_cache: dict[tuple, dict[tuple, int]] = {}
+_key_cache: dict = {}
 
 
-def _char_positions(group: AbelianGroup) -> dict[tuple, int]:
-    """Map nontrivial-character residues to a fixed slot, for monomial ordering."""
-    pos = _char_pos_cache.get(group.cyclic_orders)
-    if pos is None:
+def _grlex(group: AbelianGroup):
+    """Graded-lex key on Euler monomials, nontrivial characters in a fixed order."""
+    key = _key_cache.get(group.cyclic_orders)
+    if key is None:
         nontrivial = [c.residues for c in group.characters() if not c.is_trivial]
-        pos = {rs: i for i, rs in enumerate(nontrivial)}
-        _char_pos_cache[group.cyclic_orders] = pos
-    return pos
+        key = grlex_key({rs: i for i, rs in enumerate(nontrivial)})
+        _key_cache[group.cyclic_orders] = key
+    return key
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for rs, k in m2:
-        acc[rs] = acc.get(rs, 0) + k
-    return tuple(sorted(acc.items()))
+def _int_divexact(a: int, b: int) -> int | None:
+    return None if a % b else a // b
 
 
-def _mono_div(m: Mono, d: Mono) -> Mono | None:
-    """Divide monomial m by d, or None when not divisible."""
-    acc = dict(m)
-    for rs, k in d:
-        have = acc.get(rs, 0)
-        if have < k:
-            return None
-        if have == k:
-            del acc[rs]
-        else:
-            acc[rs] = have - k
-    return tuple(sorted(acc.items()))
-
-
-class CoeffPoly:
+class CoeffPoly(RingOps):
     """Sparse integer polynomial on Euler symbols of one group's nontrivial characters."""
 
     __slots__ = ("group", "terms")
@@ -104,54 +83,25 @@ class CoeffPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in rhs.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return CoeffPoly(self.group, acc)
+        return CoeffPoly(self.group, add_terms(self.terms, rhs.terms, 0))
 
     __radd__ = __add__
 
     def __neg__(self):
         return CoeffPoly(self.group, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in rhs.terms.items():
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return CoeffPoly(self.group, acc)
+        return CoeffPoly(self.group, mul_terms(self.terms, rhs.terms, 0))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a coefficient polynomial")
-        out = CoeffPoly.one(self.group)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return out
+        return power(self, n, CoeffPoly.one(self.group))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -164,34 +114,21 @@ class CoeffPoly:
 
     __hash__ = None
 
-    def _mono_key(self, m: Mono):
-        """Graded-lex key, ascending; used for division and deterministic rendering."""
-        pos = _char_positions(self.group)
-        vec = [0] * len(pos)
-        total = 0
-        for rs, k in m:
-            vec[pos[rs]] = k
-            total += k
-        return (total, tuple(vec))
+    def __bool__(self):
+        return bool(self.terms)
 
     def degree(self) -> int | None:
         """Homological degree; None for zero, error when inhomogeneous."""
         if not self.terms:
             return None
-        degs = {sum(k for _, k in m) for m in self.terms}
+        degs = {mono_degree(m) for m in self.terms}
         if len(degs) > 1:
             raise PreconditionError("inhomogeneous coefficient polynomial has no degree")
         return -2 * degs.pop()
 
     @property
     def is_homogeneous(self) -> bool:
-        return len({sum(k for _, k in m) for m in self.terms}) <= 1
-
-    def support(self) -> set[Character]:
-        """The set of Euler symbols that occur."""
-        return {
-            Character(self.group, rs) for m in self.terms for rs, _ in m
-        }
+        return len({mono_degree(m) for m in self.terms}) <= 1
 
     def divexact(self, other: "CoeffPoly") -> "CoeffPoly | None":
         """Exact quotient self / other, or None when it does not exist.
@@ -204,26 +141,8 @@ class CoeffPoly:
             raise PreconditionError("division by zero coefficient polynomial")
         if self.is_zero:
             return self
-        lt_m = max(rhs.terms, key=self._mono_key)
-        lt_c = rhs.terms[lt_m]
-        rem = dict(self.terms)
-        quot: dict = {}
-        while rem:
-            m = max(rem, key=self._mono_key)
-            c = rem[m]
-            qm = _mono_div(m, lt_m)
-            if qm is None or c % lt_c:
-                return None
-            qc = c // lt_c
-            quot[qm] = qc
-            for m2, c2 in rhs.terms.items():
-                mm = _mono_mul(qm, m2)
-                nc = rem.get(mm, 0) - qc * c2
-                if nc:
-                    rem[mm] = nc
-                else:
-                    rem.pop(mm, None)
-        return CoeffPoly(self.group, quot)
+        quot = divexact_terms(self.terms, rhs.terms, _grlex(self.group), _int_divexact, 0)
+        return None if quot is None else CoeffPoly(self.group, quot)
 
     def specialize(self, assignment: dict) -> "CoeffPoly":
         """Apply a ring map sending listed Euler symbols to given values.
@@ -255,13 +174,10 @@ class CoeffPoly:
 
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]), reverse=True)
+        return sorted_terms(self.terms, _grlex(self.group))
 
     def flat_terms(self) -> list:
-        return [
-            (c, [format_power(f"e[{format_residues(rs)}]", k) for rs, k in m])
-            for m, c in self.sorted_terms()
-        ]
+        return flat_terms(self.terms, _grlex(self.group), "e", format_residues, None)
 
     def __str__(self):
         return join_signed([signed_product(c, syms) for c, syms in self.flat_terms()])
@@ -287,4 +203,4 @@ def euler_class(rep: Representation) -> CoeffPoly:
     counts: dict[tuple, int] = {}
     for c in rep.summands:
         counts[c.residues] = counts.get(c.residues, 0) + 1
-    return CoeffPoly(rep.group, {tuple(sorted(counts.items())): 1})
+    return CoeffPoly(rep.group, {mono(counts): 1})

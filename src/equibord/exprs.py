@@ -43,6 +43,10 @@ from .symalg import (
 
 GRAMMAR_DOC = __doc__
 
+# Parentheses may nest this deep; past it the parser reports a parse error
+# instead of exhausting the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<atom>btheta|ctheta|beta|theta|e|b|c)\[(?P<payload>[^\]]*)\]"
@@ -106,6 +110,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek_op(self):
         kind, val, _ = self.tokens[self.pos]
@@ -286,8 +291,14 @@ class _Parser:
         if kind == "int":
             return _Val("coeff", CoeffPoly.const(self.ctx.flag.group, val))
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise SpecParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels at position {at}"
+                )
             inner = self._sum()
             self._expect_op(")")
+            self.depth -= 1
             return inner
         if kind != "atom":
             raise SpecParseError(

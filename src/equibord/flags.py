@@ -15,6 +15,7 @@ from __future__ import annotations
 from .coeff import CoeffPoly, euler_class
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, parse_character
+from .sparse import RingOps, add_terms, mono
 
 
 class Flag:
@@ -106,7 +107,7 @@ def parse_flag(group: AbelianGroup, text: str) -> Flag:
     return Flag(group, tuple(parse_character(group, p) for p in parts))
 
 
-class ProjClass:
+class ProjClass(RingOps):
     """Element of the free module on beta_0..beta_N with CoeffPoly coefficients."""
 
     __slots__ = ("flag", "coeffs")
@@ -141,18 +142,10 @@ class ProjClass:
             return NotImplemented
         if self.flag != other.flag:
             raise MismatchError("classes over different flags")
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            acc[i] = acc.get(i, CoeffPoly.zero(self.flag.group)) + c
-        return ProjClass(self.flag, acc)
+        return ProjClass(self.flag, add_terms(self.coeffs, other.coeffs, CoeffPoly.zero(self.flag.group)))
 
     def __neg__(self):
         return ProjClass(self.flag, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ProjClass):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "ProjClass":
         if isinstance(other, (int, CoeffPoly)):
@@ -242,7 +235,7 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     for i in range(1, j):
         rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
         running[rs] = running.get(rs, 0) + 1
-        coeffs[i] = CoeffPoly(group, {tuple(sorted(running.items())): 1})
+        coeffs[i] = CoeffPoly(group, {mono(running): 1})
     return ProjClass(flag, coeffs)
 
 

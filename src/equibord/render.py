@@ -4,6 +4,8 @@ Every layer renders as a flat signed sum of products so output is stable,
 diff-friendly, and parseable by the expression grammar.
 """
 
+from .sparse import sorted_terms
+
 
 def format_power(symbol: str, k: int) -> str:
     return symbol if k == 1 else f"{symbol}^{k}"
@@ -27,3 +29,31 @@ def join_signed(parts: list) -> str:
     for neg, body in parts[1:]:
         out.append((" - " if neg else " + ") + body)
     return "".join(out)
+
+
+def flat_terms(terms: dict, key, name: str, fmt, inner) -> list:
+    """A sparse polynomial's terms as (int coefficient, factor strings)
+    pairs, in descending key order.
+
+    Variable v renders as name[fmt(v)].  inner is None for integer
+    coefficients; when the coefficients are polynomials themselves, inner(c)
+    gives their flat terms, whose factors come first in each product.
+    """
+    out = []
+    for m, c in sorted_terms(terms, key):
+        syms = [format_power(f"{name}[{fmt(v)}]", k) for v, k in m]
+        if inner is None:
+            out.append((c, syms))
+        else:
+            out.extend((ci, csyms + syms) for ci, csyms in inner(c))
+    return out
+
+
+def shown(obj, assignment) -> str:
+    """Text of obj, specialized first when an assignment is given."""
+    return str(obj.specialize(assignment)) if assignment else str(obj)
+
+
+def shown_json(obj, assignment):
+    """JSON form of obj, specialized first when an assignment is given."""
+    return (obj.specialize(assignment) if assignment else obj).to_json()

@@ -25,43 +25,47 @@ from .coeff import CoeffPoly
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, ProjClass, aug, coaug
 from .groups import Character, format_residues
-from .render import format_power, join_signed, signed_product
+from .render import flat_terms, format_power, join_signed, shown, signed_product
+from .sparse import (
+    RingOps, add_terms, divexact_terms, grlex_key, mono, mono_degree, mono_div, mono_mul, mul_terms,
+    power, sorted_terms,
+)
 
 SHIFTS = (-2, 0, 2)
 MODES = ("MUP", "mUP")
 
-BetaMono = tuple  # ((index, exponent), ...) sorted by index
+BetaMono = tuple  # a sparse-kernel monomial in beta (or generator) indices
 
 
-def _bmono_mul(m1: BetaMono, m2: BetaMono) -> BetaMono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for i, k in m2:
-        acc[i] = acc.get(i, 0) + k
-    return tuple(sorted(acc.items()))
+def _beta_key(flag: Flag):
+    """Graded-lex key on monomials in beta_0..beta_N."""
+    return grlex_key(range(flag.length + 1))
 
 
-def _bmono_div(m: BetaMono, d: BetaMono) -> BetaMono | None:
-    acc = dict(m)
-    for i, k in d:
-        have = acc.get(i, 0)
-        if have < k:
-            return None
-        if have == k:
-            del acc[i]
-        else:
-            acc[i] = have - k
-    return tuple(sorted(acc.items()))
+def _term_parts(num: "SymPoly", name: str) -> list:
+    """The terms of num as signed products, its variables written name[i]."""
+    return [
+        signed_product(c, syms)
+        for c, syms in flat_terms(num.terms, _beta_key(num.flag), name, str, CoeffPoly.flat_terms)
+    ]
 
 
-def _bmono_dim(m: BetaMono) -> int:
-    return sum(k for _, k in m)
+def _terms_json(num: "SymPoly", name: str) -> list:
+    """The terms of num as JSON objects, its variable exponents under name."""
+    out = []
+    for m, c in sorted_terms(num.terms, _beta_key(num.flag)):
+        for cm, ci in c.sorted_terms():
+            out.append(
+                {
+                    "coeff": ci,
+                    "euler": {format_residues(rs): k for rs, k in cm},
+                    name: {str(i): k for i, k in m},
+                }
+            )
+    return out
 
 
-class SymPoly:
+class SymPoly(RingOps):
     """Element of the shifted symmetric algebra over one flag."""
 
     __slots__ = ("flag", "shift", "terms")
@@ -132,10 +136,7 @@ class SymPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self.terms)
-        zero = CoeffPoly.zero(self.flag.group)
-        for m, c in rhs.terms.items():
-            acc[m] = acc.get(m, zero) + c
+        acc = add_terms(self.terms, rhs.terms, CoeffPoly.zero(self.flag.group))
         return SymPoly(self.flag, self.shift, acc)
 
     __radd__ = __add__
@@ -143,28 +144,11 @@ class SymPoly:
     def __neg__(self):
         return SymPoly(self.flag, self.shift, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc: dict = {}
-        zero = CoeffPoly.zero(self.flag.group)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in rhs.terms.items():
-                m = _bmono_mul(m1, m2)
-                acc[m] = acc.get(m, zero) + c1 * c2
+        acc = mul_terms(self.terms, rhs.terms, CoeffPoly.zero(self.flag.group))
         return SymPoly(self.flag, self.shift, acc)
 
     __rmul__ = __mul__
@@ -172,15 +156,7 @@ class SymPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
-        out = SymPoly.one(self.flag, self.shift)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, SymPoly.one(self.flag, self.shift))
 
     def __eq__(self, other):
         if isinstance(other, (int, CoeffPoly)):
@@ -198,14 +174,10 @@ class SymPoly:
         """Total beta-exponent; None for zero, error when mixed."""
         if not self.terms:
             return None
-        dims = {_bmono_dim(m) for m in self.terms}
+        dims = {mono_degree(m) for m in self.terms}
         if len(dims) > 1:
             raise PreconditionError("mixed dimension degrees")
         return dims.pop()
-
-    @property
-    def is_dim_homogeneous(self) -> bool:
-        return len({_bmono_dim(m) for m in self.terms}) <= 1
 
     def internal_degree(self) -> int | None:
         """Homological degree with beta_i in degree 2i - d; None for zero."""
@@ -215,18 +187,10 @@ class SymPoly:
         for m, c in self.terms.items():
             base = sum(k * (2 * i - self.shift) for i, k in m)
             for cm in c.terms:
-                degs.add(base - 2 * sum(k for _, k in cm))
+                degs.add(base - 2 * mono_degree(cm))
         if len(degs) > 1:
             raise PreconditionError("mixed internal degrees")
         return degs.pop()
-
-    def _mono_key(self, m: BetaMono):
-        vec = [0] * (self.flag.length + 1)
-        tot = 0
-        for i, k in m:
-            vec[i] = k
-            tot += k
-        return (tot, tuple(vec))
 
     def divexact(self, other: "SymPoly") -> "SymPoly | None":
         """Exact quotient self / other, or None when it does not exist."""
@@ -235,28 +199,11 @@ class SymPoly:
             raise PreconditionError("division by zero polynomial")
         if self.is_zero:
             return self
-        lt_m = max(rhs.terms, key=self._mono_key)
-        lt_c = rhs.terms[lt_m]
-        rem = dict(self.terms)
-        quot: dict = {}
-        zero = CoeffPoly.zero(self.flag.group)
-        while rem:
-            m = max(rem, key=self._mono_key)
-            qm = _bmono_div(m, lt_m)
-            if qm is None:
-                return None
-            qc = rem[m].divexact(lt_c)
-            if qc is None:
-                return None
-            quot[qm] = qc
-            for m2, c2 in rhs.terms.items():
-                mm = _bmono_mul(qm, m2)
-                nc = rem.get(mm, zero) - qc * c2
-                if nc.is_zero:
-                    rem.pop(mm, None)
-                else:
-                    rem[mm] = nc
-        return SymPoly(self.flag, self.shift, quot)
+        quot = divexact_terms(
+            self.terms, rhs.terms, _beta_key(self.flag), CoeffPoly.divexact,
+            CoeffPoly.zero(self.flag.group),
+        )
+        return None if quot is None else SymPoly(self.flag, self.shift, quot)
 
     def specialize(self, assignment: dict) -> "SymPoly":
         """Apply a coefficient-ring map to every term's coefficient."""
@@ -266,37 +213,14 @@ class SymPoly:
             {m: c.specialize(assignment) for m, c in self.terms.items()},
         )
 
-    def flat_terms(self) -> list:
-        out = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]), reverse=True):
-            bsyms = [format_power(f"beta[{i}]", k) for i, k in m]
-            for ci, esyms in c.flat_terms():
-                out.append(signed_product(ci, esyms + bsyms))
-        return out
-
     def __str__(self):
-        return join_signed(self.flat_terms())
+        return join_signed(_term_parts(self, "beta"))
 
     def to_json(self) -> list:
-        out = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]), reverse=True):
-            for cm, ci in c.sorted_terms():
-                out.append(
-                    {
-                        "coeff": ci,
-                        "euler": {format_residues(rs): k for rs, k in cm},
-                        "beta": {str(i): k for i, k in m},
-                    }
-                )
-        return out
+        return _terms_json(self, "beta")
 
     def __repr__(self):
         return f"SymPoly({self.flag}, d={self.shift}, {self})"
-
-
-def sym_mul(a: SymPoly, b: SymPoly) -> SymPoly:
-    """Polynomial product; both gradings are additive."""
-    return a * b
 
 
 @lru_cache(maxsize=None)
@@ -336,17 +260,118 @@ def retract(x: SymPoly, n: int | None = None, alpha: Character | None = None) ->
         raise PreconditionError(f"expected dimension degree {n + 1}, got {dim}")
     acc = {}
     for m, c in x.terms.items():
-        d = dict(m)
-        k0 = d.pop(0, 0)
-        if not k0:
-            continue
-        if k0 > 1:
-            d[0] = k0 - 1
-        acc[tuple(sorted(d.items()))] = c
+        q = mono_div(m, ((0, 1),))
+        if q is not None:
+            acc[q] = c
     return SymPoly(x.flag, x.shift, acc)
 
 
-class LocFraction:
+class _Quotient(RingOps):
+    """Arithmetic and rendering shared by LocFraction and BExpr: a SymPoly
+    numerator `num` over a product of inverted classes, stored as
+    `denom` = {Character: positive exponent}.
+
+    A subclass provides _ctx (raise unless an operand shares the context),
+    _coerce (an operand as the subclass, or None), _like (a quotient in the
+    same context), _theta (the inverted class of a character in the
+    numerator ring), and the names its text uses: _name for the numerator
+    variables, _theta_name for the inverted classes and _noun in errors.
+    """
+
+    __slots__ = ()
+
+    @property
+    def flag(self) -> Flag:
+        return self.num.flag
+
+    @property
+    def shift(self) -> int:
+        return self.num.shift
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def _times(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        denom = dict(self.denom)
+        for al, k in rhs.denom.items():
+            denom[al] = denom.get(al, 0) + k
+        return self._like(self.num * rhs.num, denom)
+
+    def _plus(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        a, b, common = lift_to_common(self, rhs)
+        return self._like(a + b, common)
+
+    def __neg__(self):
+        return self._like(-self.num, self.denom)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise PreconditionError(f"negative power of a {self._noun}")
+        denom = {al: k * n for al, k in self.denom.items()} if n else {}
+        return self._like(self.num**n, denom)
+
+    def specialize(self, assignment: dict):
+        """Specialize the numerator's coefficients; the denominator stays symbolic."""
+        return self._like(self.num.specialize(assignment), self.denom)
+
+    def denominator_string(self) -> str:
+        dens = [
+            format_power(f"{self._theta_name}[{al}]", self.denom[al])
+            for al in sorted(self.denom, key=lambda a: a.residues)
+        ]
+        if not dens:
+            return ""
+        body = " * ".join(dens)
+        return f"({body})" if len(dens) > 1 else body
+
+    def _text(self) -> str:
+        parts = _term_parts(self.num, self._name)
+        num = join_signed(parts)
+        den = self.denominator_string()
+        if not den or not parts:
+            return num
+        if len(parts) > 1:
+            num = f"({num})"
+        return f"{num} / {den}"
+
+    def _denominator_json(self) -> list:
+        return [
+            {"alpha": str(al), "power": self.denom[al]}
+            for al in sorted(self.denom, key=lambda a: a.residues)
+        ]
+
+
+def lift_to_common(a, b) -> tuple:
+    """(numerator of a, numerator of b, denominator) over the common
+    denominator of two LocFractions or two BExprs of one context.
+
+    Each numerator is multiplied by the inverted classes that its own
+    denominator lacks.
+    """
+    common = {}
+    lift_a = lift_b = None
+    for al in set(a.denom) | set(b.denom):
+        ka, kb = a.denom.get(al, 0), b.denom.get(al, 0)
+        common[al] = max(ka, kb)
+        if ka < kb:
+            t = a._theta(al) ** (kb - ka)
+            lift_a = t if lift_a is None else lift_a * t
+        elif kb < ka:
+            t = a._theta(al) ** (ka - kb)
+            lift_b = t if lift_b is None else lift_b * t
+    num_a = a.num if lift_a is None else a.num * lift_a
+    num_b = b.num if lift_b is None else b.num * lift_b
+    return num_a, num_b, common
+
+
+class LocFraction(_Quotient):
     """num / prod theta_alpha^{f_alpha} in the localized symmetric algebra.
 
     MUP mode may invert any coaugmentation class whose character occurs in
@@ -354,6 +379,10 @@ class LocFraction:
     """
 
     __slots__ = ("num", "denom", "mode")
+
+    _noun = "fraction"
+    _name = "beta"
+    _theta_name = "theta"
 
     def __init__(self, num: SymPoly, denom: dict | None = None, mode: str = "MUP"):
         if mode not in MODES:
@@ -381,22 +410,6 @@ class LocFraction:
         self.denom = clean
         self.mode = mode
 
-    @classmethod
-    def from_sym(cls, num: SymPoly, mode: str = "MUP") -> "LocFraction":
-        return cls(num, {}, mode)
-
-    @property
-    def flag(self) -> Flag:
-        return self.num.flag
-
-    @property
-    def shift(self) -> int:
-        return self.num.shift
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def _ctx(self, other: "LocFraction"):
         if self.num.flag != other.num.flag:
             raise MismatchError("fractions over different flags")
@@ -405,66 +418,34 @@ class LocFraction:
         if self.mode != other.mode:
             raise MismatchError("fractions in different localization modes")
 
+    def _coerce(self, other) -> "LocFraction | None":
+        if isinstance(other, LocFraction):
+            self._ctx(other)
+            return other
+        rhs = self.num._coerce(other)
+        return None if rhs is None else LocFraction(rhs, {}, self.mode)
+
+    def _like(self, num: SymPoly, denom: dict) -> "LocFraction":
+        return LocFraction(num, denom, self.mode)
+
+    def _theta(self, alpha: Character) -> SymPoly:
+        return theta_sym(self.num.flag, self.num.shift, alpha)
+
     def denominator_poly(self) -> SymPoly:
         out = SymPoly.one(self.num.flag, self.num.shift)
         for al, k in self.denom.items():
-            out = out * theta_sym(self.num.flag, self.num.shift, al) ** k
+            out = out * self._theta(al) ** k
         return out
 
     def __mul__(self, other):
-        if isinstance(other, LocFraction):
-            self._ctx(other)
-            denom = dict(self.denom)
-            for al, k in other.denom.items():
-                denom[al] = denom.get(al, 0) + k
-            return LocFraction(self.num * other.num, denom, self.mode)
-        rhs = self.num._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return LocFraction(self.num * rhs, self.denom, self.mode)
+        return self._times(other)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if not isinstance(other, LocFraction):
-            rhs = self.num._coerce(other)
-            if rhs is None:
-                return NotImplemented
-            other = LocFraction(rhs, {}, self.mode)
-        self._ctx(other)
-        flag, shift = self.num.flag, self.num.shift
-        keys = set(self.denom) | set(other.denom)
-        common = {al: max(self.denom.get(al, 0), other.denom.get(al, 0)) for al in keys}
-
-        def lift(frac):
-            num = frac.num
-            for al, k in common.items():
-                need = k - frac.denom.get(al, 0)
-                if need:
-                    num = num * theta_sym(flag, shift, al) ** need
-            return num
-
-        return LocFraction(lift(self) + lift(other), common, self.mode)
+        return self._plus(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return LocFraction(-self.num, self.denom, self.mode)
-
-    def __sub__(self, other):
-        if isinstance(other, LocFraction):
-            return self + (-other)
-        rhs = self.num._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + LocFraction(-rhs, {}, self.mode)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PreconditionError("negative power of a fraction")
-        return LocFraction(
-            self.num**n, {al: k * n for al, k in self.denom.items()}, self.mode
-        )
 
     def __eq__(self, other):
         if not isinstance(other, LocFraction):
@@ -473,37 +454,13 @@ class LocFraction:
 
     __hash__ = None
 
-    def specialize(self, assignment: dict) -> "LocFraction":
-        """Specialize the numerator's coefficients; the denominator stays symbolic."""
-        return LocFraction(self.num.specialize(assignment), self.denom, self.mode)
-
-    def denominator_string(self) -> str:
-        dens = [
-            format_power(f"theta[{al}]", self.denom[al])
-            for al in sorted(self.denom, key=lambda a: a.residues)
-        ]
-        if not dens:
-            return ""
-        body = " * ".join(dens)
-        return f"({body})" if len(dens) > 1 else body
-
     def __str__(self):
-        num_terms = self.num.flat_terms()
-        num = join_signed(num_terms)
-        den = self.denominator_string()
-        if not den or self.num.is_zero:
-            return num
-        if len(num_terms) > 1:
-            num = f"({num})"
-        return f"{num} / {den}"
+        return self._text()
 
     def to_json(self) -> dict:
         return {
             "numerator": self.num.to_json(),
-            "denominator": [
-                {"alpha": str(al), "power": self.denom[al]}
-                for al in sorted(self.denom, key=lambda a: a.residues)
-            ],
+            "denominator": self._denominator_json(),
             "mode": self.mode,
             "shift": self.num.shift,
         }
@@ -515,16 +472,8 @@ class LocFraction:
 def frac_eq(a: LocFraction, b: LocFraction) -> bool:
     """Cross-multiplication equality in the localization."""
     a._ctx(b)
-    flag, shift = a.num.flag, a.num.shift
-    lift_a = SymPoly.one(flag, shift)
-    lift_b = SymPoly.one(flag, shift)
-    for al in set(a.denom) | set(b.denom):
-        diff = b.denom.get(al, 0) - a.denom.get(al, 0)
-        if diff > 0:
-            lift_a = lift_a * theta_sym(flag, shift, al) ** diff
-        elif diff < 0:
-            lift_b = lift_b * theta_sym(flag, shift, al) ** (-diff)
-    return a.num * lift_a == b.num * lift_b
+    lhs, rhs, _ = lift_to_common(a, b)
+    return lhs == rhs
 
 
 def frac_reduce(a: LocFraction) -> LocFraction:
@@ -557,20 +506,23 @@ def dim_degree(a: LocFraction) -> int | None:
     return d - sum(a.denom.values())
 
 
-class BExpr:
+class BExpr(_Quotient):
     """Fraction in the degree-zero generators: numerator a polynomial in
     b_i (family "b", shift -2) or c_i (family "c", shift +2) over the
     coefficient ring, denominator a product of inverted classes over
     nontrivial characters.  The trivial inverted class is the unit and is
-    never stored."""
+    never stored.  The numerator is kept as a SymPoly whose index i stands
+    for the generator b_i or c_i, so it never uses index 0."""
 
-    __slots__ = ("flag", "family", "terms", "denom")
+    __slots__ = ("num", "family", "denom")
+
+    _noun = "generator expression"
 
     def __init__(self, flag: Flag, family: str, terms: dict | None = None, denom: dict | None = None):
         if family not in ("b", "c"):
             raise PreconditionError(f"generator family must be 'b' or 'c', got {family!r}")
-        clean: dict[BetaMono, CoeffPoly] = {}
-        for m, c in (terms or {}).items():
+        terms = terms or {}
+        for m in terms:
             for i, k in m:
                 if not 1 <= i <= flag.length:
                     raise PreconditionError(
@@ -578,12 +530,7 @@ class BExpr:
                     )
                 if k < 1:
                     raise PreconditionError("nonpositive generator exponent")
-            if not isinstance(c, CoeffPoly):
-                c = CoeffPoly.const(flag.group, c)
-            elif c.group != flag.group:
-                raise MismatchError("coefficient over a different group")
-            if not c.is_zero:
-                clean[m] = c
+        num = SymPoly(flag, -2 if family == "b" else 2, terms)
         dclean: dict[Character, int] = {}
         for al, k in (denom or {}).items():
             if not isinstance(al, Character) or al.group != flag.group:
@@ -599,14 +546,28 @@ class BExpr:
                     "its inverted class is not available"
                 )
             dclean[al] = k
-        self.flag = flag
+        self.num = num
         self.family = family
-        self.terms = clean
         self.denom = dclean
 
+    @classmethod
+    def _of(cls, num: SymPoly, family: str, denom: dict) -> "BExpr":
+        """Wrap a numerator and a denominator that are already valid."""
+        e = object.__new__(cls)
+        e.num, e.family, e.denom = num, family, denom
+        return e
+
     @property
-    def shift(self) -> int:
-        return -2 if self.family == "b" else 2
+    def terms(self) -> dict:
+        return self.num.terms
+
+    @property
+    def _name(self) -> str:
+        return self.family
+
+    @property
+    def _theta_name(self) -> str:
+        return f"{self.family}theta"
 
     @classmethod
     def zero(cls, flag: Flag, family: str) -> "BExpr":
@@ -624,163 +585,55 @@ class BExpr:
     def generator(cls, flag: Flag, family: str, i: int, k: int = 1) -> "BExpr":
         return cls(flag, family, {((i, k),): CoeffPoly.one(flag.group)}, {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _ctx(self, other: "BExpr"):
         if self.flag != other.flag:
             raise MismatchError("operands over different flags")
         if self.family != other.family:
             raise MismatchError("operands over different generator families")
 
-    def _poly_terms_mul(self, t1: dict, t2: dict) -> dict:
-        acc: dict = {}
-        zero = CoeffPoly.zero(self.flag.group)
-        for m1, c1 in t1.items():
-            for m2, c2 in t2.items():
-                m = _bmono_mul(m1, m2)
-                acc[m] = acc.get(m, zero) + c1 * c2
-        return acc
-
-    def __mul__(self, other):
+    def _coerce(self, other) -> "BExpr | None":
         if isinstance(other, BExpr):
             self._ctx(other)
-            denom = dict(self.denom)
-            for al, k in other.denom.items():
-                denom[al] = denom.get(al, 0) + k
-            return BExpr(self.flag, self.family, self._poly_terms_mul(self.terms, other.terms), denom)
+            return other
         if isinstance(other, (int, CoeffPoly)):
-            other = BExpr.const(self.flag, self.family, other)
-            return self * other
-        return NotImplemented
+            return BExpr.const(self.flag, self.family, other)
+        return None
+
+    def _like(self, num: SymPoly, denom: dict) -> "BExpr":
+        return BExpr._of(num, self.family, denom)
+
+    def _theta(self, alpha: Character) -> SymPoly:
+        return btheta_expansion(self.flag, self.family, alpha).num
+
+    def __mul__(self, other):
+        return self._times(other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return BExpr(self.flag, self.family, {m: -c for m, c in self.terms.items()}, self.denom)
-
     def __add__(self, other):
-        if isinstance(other, (int, CoeffPoly)):
-            other = BExpr.const(self.flag, self.family, other)
-        if not isinstance(other, BExpr):
-            return NotImplemented
-        self._ctx(other)
-        keys = set(self.denom) | set(other.denom)
-        common = {al: max(self.denom.get(al, 0), other.denom.get(al, 0)) for al in keys}
-
-        def lift(e: BExpr) -> dict:
-            terms = e.terms
-            for al, k in common.items():
-                need = k - e.denom.get(al, 0)
-                for _ in range(need):
-                    terms = self._poly_terms_mul(
-                        terms, btheta_expansion(self.flag, self.family, al).terms
-                    )
-            return terms
-
-        zero = CoeffPoly.zero(self.flag.group)
-        acc = dict(lift(self))
-        for m, c in lift(other).items():
-            acc[m] = acc.get(m, zero) + c
-        return BExpr(self.flag, self.family, acc, common)
+        return self._plus(other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, CoeffPoly)):
-            other = BExpr.const(self.flag, self.family, other)
-        if not isinstance(other, BExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise PreconditionError("negative power of a generator expression")
-        out = BExpr.one(self.flag, self.family)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __eq__(self, other):
         """Structural equality of the stored form (same terms, same denominator)."""
         return (
             isinstance(other, BExpr)
-            and self.flag == other.flag
             and self.family == other.family
-            and self.terms == other.terms
+            and self.num == other.num
             and self.denom == other.denom
         )
 
     __hash__ = None
 
-    def specialize(self, assignment: dict) -> "BExpr":
-        return BExpr(
-            self.flag,
-            self.family,
-            {m: c.specialize(assignment) for m, c in self.terms.items()},
-            self.denom,
-        )
-
-    def _mono_key(self, m: BetaMono):
-        vec = [0] * (self.flag.length + 1)
-        tot = 0
-        for i, k in m:
-            vec[i] = k
-            tot += k
-        return (tot, tuple(vec))
-
-    def flat_terms(self) -> list:
-        out = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]), reverse=True):
-            gsyms = [format_power(f"{self.family}[{i}]", k) for i, k in m]
-            for ci, esyms in c.flat_terms():
-                out.append(signed_product(ci, esyms + gsyms))
-        return out
-
-    def denominator_string(self) -> str:
-        dens = [
-            format_power(f"{self.family}theta[{al}]", self.denom[al])
-            for al in sorted(self.denom, key=lambda a: a.residues)
-        ]
-        if not dens:
-            return ""
-        body = " * ".join(dens)
-        return f"({body})" if len(dens) > 1 else body
-
     def __str__(self):
-        num_terms = self.flat_terms()
-        num = join_signed(num_terms)
-        den = self.denominator_string()
-        if not den or self.is_zero:
-            return num
-        if len(num_terms) > 1:
-            num = f"({num})"
-        return f"{num} / {den}"
+        return self._text()
 
     def to_json(self) -> dict:
-        terms = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: self._mono_key(kv[0]), reverse=True):
-            for cm, ci in c.sorted_terms():
-                terms.append(
-                    {
-                        "coeff": ci,
-                        "euler": {format_residues(rs): k for rs, k in cm},
-                        "generators": {str(i): k for i, k in m},
-                    }
-                )
         return {
             "family": self.family,
-            "numerator": terms,
-            "denominator": [
-                {"alpha": str(al), "power": self.denom[al]}
-                for al in sorted(self.denom, key=lambda a: a.residues)
-            ],
+            "numerator": _terms_json(self.num, "generators"),
+            "denominator": self._denominator_json(),
         }
 
     def __repr__(self):
@@ -816,9 +669,7 @@ def _to_generators(a: LocFraction, family: str) -> BExpr:
         )
     terms: dict = {}
     for m, c in a.num.terms.items():
-        md = dict(m)
-        md.pop(0, None)
-        key = tuple(sorted(md.items()))
+        key = mono({i: k for i, k in m if i})
         assert key not in terms  # distinct monomials of one dimension stay distinct
         terms[key] = c
     denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
@@ -855,15 +706,11 @@ def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
     if e.is_zero:
         return LocFraction(SymPoly.zero(flag, shift), {}, mode)
     F = sum(e.denom.values())
-    D = max(_bmono_dim(m) for m in e.terms)
-    K = max(D, F)
+    K = max(F, max(mono_degree(m) for m in e.terms))
     terms: dict = {}
     for m, c in e.terms.items():
-        pad = K - _bmono_dim(m)
-        md = dict(m)
-        if pad:
-            md[0] = pad
-        terms[tuple(sorted(md.items()))] = c
+        pad = K - mono_degree(m)
+        terms[mono_mul(((0, pad),), m) if pad else m] = c
     denom: dict = dict(e.denom)
     if K - F:
         denom[flag.group.identity] = K - F
@@ -893,9 +740,6 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
     """
     group = flag.group
     family = None
-
-    def _shown(obj):
-        return str(obj.specialize(assignment)) if assignment else str(obj)
     if theory in ("MUP", "MU"):
         d = -2 if shift is None else shift
         if d not in (-2, 2):
@@ -915,7 +759,7 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
             {
                 "symbol": f"theta[{al}]",
                 "degree": -d,
-                "expansion": _shown(SymPoly.from_proj(coaug(flag, al), d)),
+                "expansion": shown(SymPoly.from_proj(coaug(flag, al), d), assignment),
             }
             for al in group.characters()
         ]
@@ -931,7 +775,7 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
             {
                 "symbol": f"theta[{group.identity}]",
                 "degree": -d,
-                "expansion": _shown(SymPoly.from_proj(coaug(flag, group.identity), d)),
+                "expansion": shown(SymPoly.from_proj(coaug(flag, group.identity), d), assignment),
             }
         ]
     elif theory == "MU":
@@ -944,7 +788,7 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
             {
                 "symbol": f"{family}theta[{al}]",
                 "degree": 0,
-                "expansion": _shown(btheta_expansion(flag, family, al)),
+                "expansion": shown(btheta_expansion(flag, family, al), assignment),
             }
             for al in group.characters()
             if not al.is_trivial

@@ -18,6 +18,7 @@ from .coeff import CoeffPoly, euler_class
 from .errors import PreconditionError, SpecParseError
 from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from .groups import parse_group
+from .sparse import mono
 from .symalg import (
     BExpr,
     LocFraction,
@@ -25,10 +26,10 @@ from .symalg import (
     btheta_expansion,
     expand_b,
     frac_eq,
+    lift_to_common,
     presentation,
     retract,
     theta_mul,
-    theta_sym,
     to_b_generators,
     to_c_generators,
 )
@@ -189,10 +190,10 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
             for _ in range(dim):
                 i = rng.randint(0, flag.length)
                 counts[i] = counts.get(i, 0) + 1
-            mono = tuple(sorted(counts.items()))
+            m = mono(counts)
             c = _random_coeff(rng, flag.group)
             zero = CoeffPoly.zero(flag.group)
-            terms[mono] = terms.get(mono, zero) + c
+            terms[m] = terms.get(m, zero) + c
         x = SymPoly(flag, shift, terms)
         if not x.is_zero:
             return x
@@ -279,7 +280,7 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
                 counts: dict = {}
                 for i in combo:
                     counts[i] = counts.get(i, 0) + 1
-                xs.append(SymPoly(flag, shift, {tuple(sorted(counts.items())): 1}))
+                xs.append(SymPoly(flag, shift, {mono(counts): 1}))
             # a few random coefficient-linear combinations per dimension
             for _ in range(3):
                 if xs:
@@ -312,7 +313,7 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
                 counts = {}
                 for i in combo:
                     counts[i] = counts.get(i, 0) + 1
-                x = SymPoly(flag, shift, {tuple(sorted(counts.items())): 1})
+                x = SymPoly(flag, shift, {mono(counts): 1})
                 cases += 1
                 back = retract(x, n)
                 if not back.is_zero:
@@ -330,20 +331,6 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
         if cx:
             break
     return _finish("check_retraction", t0, cases, cx)
-
-
-def _cross_mul(a: LocFraction, b: LocFraction) -> tuple:
-    """Numerators of a and b lifted to the common denominator."""
-    flag, shift = a.num.flag, a.num.shift
-    lift_a = SymPoly.one(flag, shift)
-    lift_b = SymPoly.one(flag, shift)
-    for al in set(a.denom) | set(b.denom):
-        diff = b.denom.get(al, 0) - a.denom.get(al, 0)
-        if diff > 0:
-            lift_a = lift_a * theta_sym(flag, shift, al) ** diff
-        elif diff < 0:
-            lift_b = lift_b * theta_sym(flag, shift, al) ** (-diff)
-    return a.num * lift_a, b.num * lift_b
 
 
 def check_specialization_collapse(cfg: SweepConfig) -> CheckResult:
@@ -387,7 +374,7 @@ def check_specialization_collapse(cfg: SweepConfig) -> CheckResult:
             bare = BExpr(e.flag, e.family, e.terms, {})
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
-            lhs, rhs = _cross_mul(ya, yb)
+            lhs, rhs, _ = lift_to_common(ya, yb)
             cases += 1
             if lhs.specialize(zero_asg) != rhs.specialize(zero_asg):
                 cx = {

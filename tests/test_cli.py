@@ -180,6 +180,10 @@ def test_eval_exit_codes(capsys):
     assert "(1)" in err
     rc, _, err = run(capsys, "eval", "--group", "Zx", "--truncate", "1", "--expr", "1")
     assert rc == 2
+    nested = "(" * 1000 + "beta[0]" + ")" * 1000
+    rc, _, err = run(capsys, "eval", "--group", "Z2", "--truncate", "4", "--expr", nested)
+    assert rc == 2
+    assert "nest" in err
 
 
 def test_specialize_applies_to_output_only(capsys, tmp_path):

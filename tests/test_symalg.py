@@ -130,6 +130,9 @@ def test_locfraction_arithmetic():
     assert frac_eq(a + a, 2 * a)
     assert a == LocFraction(b1() * th, {SIG: 2})
     assert not frac_eq(a, b)
+    assert 1 - a == LocFraction(th - b1(), {SIG: 1})
+    assert b1() - a == LocFraction(b1() * th - b1(), {SIG: 1})
+    assert a - 1 == -(1 - a)
 
 
 def test_frac_reduce():
@@ -206,6 +209,11 @@ def test_bexpr_add_lifts_denominators():
     assert s.terms[((1, 1),)] == CoeffPoly.one(Z2)
     assert s.terms[((1, 2),)] == E
     assert frac_eq(expand_b(s, "MUP"), expand_b(g1, "MUP") + expand_b(inv, "MUP"))
+    d = 1 - inv
+    assert d.denom == {SIG: 1}
+    assert d.terms == {((1, 1),): E}  # btheta - 1 = e * b1
+    assert d == -(inv - 1)
+    assert frac_eq(expand_b(1 - g1, "MUP"), 1 - expand_b(g1, "MUP"))
 
 
 def test_mup_normal_form():
