@@ -168,14 +168,10 @@ def cmd_present(args) -> int:
 
 def cmd_rewrite(args) -> int:
     group, flag = _resolve_context(args)
-    if args.theory == "MU":
-        shift = -2 if args.shift is None else args.shift
-        mode = "MUP"
-    else:
-        shift = 2 if args.shift is None else args.shift
-        if shift != 2:
-            raise SpecParseError("theory mU fixes shift +2")
-        mode = "mUP"
+    default_shift, mode = _THEORY_CONTEXT[args.theory]
+    shift = default_shift if args.shift is None else args.shift
+    if args.theory == "mU" and shift != 2:
+        raise SpecParseError("theory mU fixes shift +2")
     asg = _maybe_assignment(args, flag)
     ctx = ExprContext(flag, shift, mode)
     outcome = eval_expression(args.expr, ctx)

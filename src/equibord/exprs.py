@@ -24,6 +24,7 @@ mathematical equality, not equality of the stored form.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .coeff import CoeffPoly
@@ -67,20 +68,28 @@ class ExprContext:
         return "b" if self.shift == -2 else "c"
 
 
+_KINDS = {CoeffPoly: "coeff", SymPoly: "sym", LocFraction: "frac", BExpr: "gen"}
+_LABELS = {"coeff": "coefficient", "sym": "polynomial", "frac": "fraction", "gen": "generators"}
+
+
 class _Val:
     """Evaluated subexpression: payload plus an invertibility signature.
 
-    kind is one of coeff, sym, frac (flag side) or gen (generator side).
-    sig is a denominator exponent map when the subexpression is a pure
-    product of inverted-class atoms, else None.
+    kind is one of coeff, sym, frac (flag side) or gen (generator side),
+    read off the payload's class.  sig is a denominator exponent Counter
+    when the subexpression is a pure product of inverted-class atoms, else
+    None.
     """
 
-    __slots__ = ("kind", "payload", "sig")
+    __slots__ = ("payload", "sig")
 
-    def __init__(self, kind, payload, sig=None):
-        self.kind = kind
+    def __init__(self, payload, sig=None):
         self.payload = payload
         self.sig = sig
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.payload)]
 
 
 def _tokenize(text: str) -> list:
@@ -129,97 +138,49 @@ class _Parser:
 
     # value plumbing ----------------------------------------------------
 
-    def _to_gen(self, v: _Val) -> BExpr:
-        if v.kind == "gen":
-            return v.payload
-        if v.kind == "coeff":
-            return BExpr.const(self.ctx.flag, self.ctx.family, v.payload)
-        raise SpecParseError(
-            "cannot mix flag-side symbols (beta/theta) with generator-side "
-            "symbols (b/c) in one expression"
-        )
-
-    def _to_sym(self, v: _Val) -> SymPoly:
-        if v.kind == "sym":
-            return v.payload
-        if v.kind == "coeff":
-            return SymPoly.const(self.ctx.flag, self.ctx.shift, v.payload)
-        raise SpecParseError(
-            "cannot mix flag-side symbols (beta/theta) with generator-side "
-            "symbols (b/c) in one expression"
-        )
-
-    def _to_frac(self, v: _Val) -> LocFraction:
-        if v.kind == "frac":
-            return v.payload
-        return LocFraction(self._to_sym(v), {}, self.ctx.mode)
-
-    def _combine_kind(self, a: _Val, b: _Val) -> str:
-        kinds = {a.kind, b.kind}
-        if "gen" in kinds:
-            if kinds & {"sym", "frac"}:
-                raise SpecParseError(
-                    "cannot mix flag-side symbols (beta/theta) with "
-                    "generator-side symbols (b/c) in one expression"
-                )
-            return "gen"
-        if "frac" in kinds:
-            return "frac"
-        if "sym" in kinds:
-            return "sym"
-        return "coeff"
+    @staticmethod
+    def _check_sides(*kinds: str):
+        """The algebra classes coerce and merge denominators; the parser only
+        keeps flag-side and generator-side values apart."""
+        if "gen" in kinds and {"sym", "frac"} & set(kinds):
+            raise SpecParseError(
+                "cannot mix flag-side symbols (beta/theta) with generator-side "
+                "symbols (b/c) in one expression"
+            )
 
     def _add(self, a: _Val, b: _Val) -> _Val:
-        kind = self._combine_kind(a, b)
-        if kind == "gen":
-            return _Val("gen", self._to_gen(a) + self._to_gen(b))
-        if kind == "frac":
-            return _Val("frac", self._to_frac(a) + self._to_frac(b))
-        if kind == "sym":
-            return _Val("sym", self._to_sym(a) + self._to_sym(b))
-        return _Val("coeff", a.payload + b.payload)
+        self._check_sides(a.kind, b.kind)
+        return _Val(a.payload + b.payload)
 
     def _mul(self, a: _Val, b: _Val) -> _Val:
-        kind = self._combine_kind(a, b)
+        self._check_sides(a.kind, b.kind)
         sig = None
         if a.sig is not None and b.sig is not None:
-            sig = dict(a.sig)
-            for al, k in b.sig.items():
-                sig[al] = sig.get(al, 0) + k
-        if kind == "gen":
-            return _Val("gen", self._to_gen(a) * self._to_gen(b), sig)
-        if kind == "frac":
-            return _Val("frac", self._to_frac(a) * self._to_frac(b))
-        if kind == "sym":
-            return _Val("sym", self._to_sym(a) * self._to_sym(b), sig)
-        return _Val("coeff", a.payload * b.payload)
+            sig = a.sig + b.sig
+        return _Val(a.payload * b.payload, sig)
 
     def _neg(self, a: _Val) -> _Val:
-        return _Val(a.kind, -a.payload)
+        return _Val(-a.payload)
 
     def _pow(self, a: _Val, n: int) -> _Val:
         sig = None
         if a.sig is not None and n > 0:
-            sig = {al: k * n for al, k in a.sig.items()}
-        return _Val(a.kind, a.payload**n, sig)
+            sig = Counter({al: k * n for al, k in a.sig.items()})
+        return _Val(a.payload**n, sig)
 
     def _div(self, a: _Val, b: _Val) -> _Val:
-        if b.sig is None or not b.sig:
+        if not b.sig:
             raise SpecParseError(
                 "the right operand of / must be a product of inverted classes "
                 "(theta[...] or btheta[...]/ctheta[...])"
             )
+        self._check_sides(a.kind, b.kind)
+        ctx = self.ctx
         if b.kind == "gen":
-            g = self._to_gen(a)
-            denom = dict(g.denom)
-            for al, k in b.sig.items():
-                denom[al] = denom.get(al, 0) + k
-            return _Val("gen", BExpr(g.flag, g.family, g.terms, denom))
-        f = self._to_frac(a)
-        denom = dict(f.denom)
-        for al, k in b.sig.items():
-            denom[al] = denom.get(al, 0) + k
-        return _Val("frac", LocFraction(f.num, denom, f.mode))
+            inverse = BExpr(ctx.flag, ctx.family, {(): 1}, b.sig)
+        else:
+            inverse = LocFraction(SymPoly.one(ctx.flag, ctx.shift), b.sig, ctx.mode)
+        return _Val(a.payload * inverse)
 
     # grammar -----------------------------------------------------------
 
@@ -246,13 +207,19 @@ class _Parser:
             )
 
     def _compare(self, a: _Val, b: _Val) -> bool:
+        ctx = self.ctx
         if "gen" in (a.kind, b.kind):
-            fa = expand_b(self._to_gen(a), self.ctx.mode)
-            fb = expand_b(self._to_gen(b), self.ctx.mode)
-            return frac_eq(fa, fb)
-        if a.kind == "coeff" and b.kind == "coeff":
+            # each side is checked and expanded in turn, so an operand that
+            # cannot expand in this mode is reported before a flag-side partner
+            fracs = []
+            for v in (a, b):
+                self._check_sides(v.kind, "gen")
+                g = v.payload if v.kind == "gen" else BExpr.const(ctx.flag, ctx.family, v.payload)
+                fracs.append(expand_b(g, ctx.mode))
+            return frac_eq(*fracs)
+        if a.kind == b.kind == "coeff":
             return a.payload == b.payload
-        return frac_eq(self._to_frac(a), self._to_frac(b))
+        return frac_eq(as_fraction(a, ctx), as_fraction(b, ctx))
 
     def _sum(self) -> _Val:
         negate = False
@@ -289,7 +256,7 @@ class _Parser:
     def _atom(self) -> _Val:
         kind, val, at = self._take()
         if kind == "int":
-            return _Val("coeff", CoeffPoly.const(self.ctx.flag.group, val))
+            return _Val(CoeffPoly.const(self.ctx.flag.group, val))
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -312,27 +279,23 @@ class _Parser:
                 )
             i = int(payload)
             if name == "beta":
-                return _Val("sym", SymPoly.var(self.ctx.flag, self.ctx.shift, i))
+                return _Val(SymPoly.var(self.ctx.flag, self.ctx.shift, i))
             self._check_family(name)
             if i == 0:
-                return _Val("coeff", CoeffPoly.one(self.ctx.flag.group))
-            return _Val("gen", BExpr.generator(self.ctx.flag, name, i))
+                return _Val(CoeffPoly.one(self.ctx.flag.group))
+            return _Val(BExpr.generator(self.ctx.flag, name, i))
         alpha = parse_character(self.ctx.flag.group, payload)
         if name == "e":
             if alpha.is_trivial:
                 raise SpecParseError(
                     f"e[{payload}]: the trivial character has no Euler symbol"
                 )
-            return _Val("coeff", CoeffPoly.euler(alpha))
+            return _Val(CoeffPoly.euler(alpha))
         if name == "theta":
-            return _Val(
-                "sym", theta_sym(self.ctx.flag, self.ctx.shift, alpha), {alpha: 1}
-            )
+            return _Val(theta_sym(self.ctx.flag, self.ctx.shift, alpha), Counter({alpha: 1}))
         family = name[0]  # btheta -> b, ctheta -> c
         self._check_family(family)
-        return _Val(
-            "gen", btheta_expansion(self.ctx.flag, family, alpha), {alpha: 1}
-        )
+        return _Val(btheta_expansion(self.ctx.flag, family, alpha), Counter({alpha: 1}))
 
     def _check_family(self, family: str):
         if family != self.ctx.family:
@@ -350,15 +313,12 @@ def eval_expression(text: str, ctx: ExprContext) -> dict:
 
 def as_fraction(val: _Val, ctx: ExprContext) -> LocFraction:
     """Coerce a flag-side value to a localized fraction."""
-    if val.kind == "frac":
-        return val.payload
-    if val.kind == "sym":
-        return LocFraction(val.payload, {}, ctx.mode)
+    if val.kind == "gen":
+        raise SpecParseError("expected a flag-side fraction, got generator symbols")
+    payload = val.payload
     if val.kind == "coeff":
-        return LocFraction(
-            SymPoly.const(ctx.flag, ctx.shift, val.payload), {}, ctx.mode
-        )
-    raise SpecParseError("expected a flag-side fraction, got generator symbols")
+        payload = SymPoly.const(ctx.flag, ctx.shift, payload)
+    return payload if val.kind == "frac" else LocFraction(payload, {}, ctx.mode)
 
 
 def describe_value(val: _Val, assignment: dict | None = None) -> dict:
@@ -367,17 +327,10 @@ def describe_value(val: _Val, assignment: dict | None = None) -> dict:
     A specializing assignment, when given, is applied to the displayed end
     result only.
     """
-    kind = val.kind
     payload = val.payload
-    if kind == "frac":
+    if val.kind == "frac":
         payload = frac_reduce(payload)
-        out = {"kind": "fraction", "text": str(payload), "data": payload.to_json()}
-    elif kind == "sym":
-        out = {"kind": "polynomial", "text": str(payload), "data": payload.to_json()}
-    elif kind == "gen":
-        out = {"kind": "generators", "text": str(payload), "data": payload.to_json()}
-    else:
-        out = {"kind": "coefficient", "text": str(payload), "data": payload.to_json()}
+    out = {"kind": _LABELS[val.kind], "text": str(payload), "data": payload.to_json()}
     if assignment:
         sp = payload.specialize(assignment)
         out["specialized_text"] = str(sp)

@@ -274,8 +274,10 @@ class _Quotient(RingOps):
     A subclass provides _ctx (raise unless an operand shares the context),
     _coerce (an operand as the subclass, or None), _like (a quotient in the
     same context), _theta (the inverted class of a character in the
-    numerator ring), and the names its text uses: _name for the numerator
-    variables, _theta_name for the inverted classes and _noun in errors.
+    numerator ring), _admit (whether a denominator character is stored, or
+    raise when it may not be inverted), and the names its text uses: _name
+    for the numerator variables, _theta_name for the inverted classes, and
+    _noun and _class_noun in errors.
     """
 
     __slots__ = ()
@@ -291,6 +293,27 @@ class _Quotient(RingOps):
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def _valid_denom(self, denom: dict | None) -> dict:
+        """The {Character: exponent} map denom, checked against num's flag,
+        with zero exponents and the classes _admit declines dropped."""
+        flag = self.flag
+        clean: dict[Character, int] = {}
+        for al, k in (denom or {}).items():
+            if not isinstance(al, Character) or al.group != flag.group:
+                raise MismatchError("denominator character over a different group")
+            k = int(k)
+            if k < 0:
+                raise PreconditionError("negative denominator exponent")
+            if not k or not self._admit(al):
+                continue
+            if flag.first_index(al) is None:
+                raise PreconditionError(
+                    f"character {al} does not occur in the flag truncation; "
+                    f"its {self._class_noun} is not available"
+                )
+            clean[al] = k
+        return clean
 
     def _times(self, other):
         rhs = self._coerce(other)
@@ -381,34 +404,23 @@ class LocFraction(_Quotient):
     __slots__ = ("num", "denom", "mode")
 
     _noun = "fraction"
+    _class_noun = "coaugmentation class"
     _name = "beta"
     _theta_name = "theta"
 
     def __init__(self, num: SymPoly, denom: dict | None = None, mode: str = "MUP"):
         if mode not in MODES:
             raise PreconditionError(f"mode must be one of {MODES}, got {mode!r}")
-        clean: dict[Character, int] = {}
-        for al, k in (denom or {}).items():
-            if not isinstance(al, Character) or al.group != num.flag.group:
-                raise MismatchError("denominator character over a different group")
-            k = int(k)
-            if k < 0:
-                raise PreconditionError("negative denominator exponent")
-            if not k:
-                continue
-            if mode == "mUP" and not al.is_trivial:
-                raise PreconditionError(
-                    "mUP mode only inverts the trivial coaugmentation class"
-                )
-            if num.flag.first_index(al) is None:
-                raise PreconditionError(
-                    f"character {al} does not occur in the flag truncation; "
-                    "its coaugmentation class is not available"
-                )
-            clean[al] = k
         self.num = num
-        self.denom = clean
         self.mode = mode
+        self.denom = self._valid_denom(denom)
+
+    def _admit(self, alpha: Character) -> bool:
+        if self.mode == "mUP" and not alpha.is_trivial:
+            raise PreconditionError(
+                "mUP mode only inverts the trivial coaugmentation class"
+            )
+        return True
 
     def _ctx(self, other: "LocFraction"):
         if self.num.flag != other.num.flag:
@@ -517,6 +529,7 @@ class BExpr(_Quotient):
     __slots__ = ("num", "family", "denom")
 
     _noun = "generator expression"
+    _class_noun = "inverted class"
 
     def __init__(self, flag: Flag, family: str, terms: dict | None = None, denom: dict | None = None):
         if family not in ("b", "c"):
@@ -530,25 +543,13 @@ class BExpr(_Quotient):
                     )
                 if k < 1:
                     raise PreconditionError("nonpositive generator exponent")
-        num = SymPoly(flag, -2 if family == "b" else 2, terms)
-        dclean: dict[Character, int] = {}
-        for al, k in (denom or {}).items():
-            if not isinstance(al, Character) or al.group != flag.group:
-                raise MismatchError("denominator character over a different group")
-            k = int(k)
-            if k < 0:
-                raise PreconditionError("negative denominator exponent")
-            if not k or al.is_trivial:
-                continue
-            if flag.first_index(al) is None:
-                raise PreconditionError(
-                    f"character {al} does not occur in the flag truncation; "
-                    "its inverted class is not available"
-                )
-            dclean[al] = k
-        self.num = num
+        self.num = SymPoly(flag, -2 if family == "b" else 2, terms)
         self.family = family
-        self.denom = dclean
+        self.denom = self._valid_denom(denom)
+
+    @staticmethod
+    def _admit(alpha: Character) -> bool:
+        return not alpha.is_trivial  # the trivial inverted class is the unit
 
     @classmethod
     def _of(cls, num: SymPoly, family: str, denom: dict) -> "BExpr":

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .coeff import CoeffPoly, euler_class
-from .errors import PreconditionError, SpecParseError
+from .errors import SpecParseError
 from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from .groups import parse_group
 from .sparse import mono
@@ -186,11 +187,7 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
     while True:
         terms: dict = {}
         for _ in range(rng.randint(1, 3)):
-            counts: dict = {}
-            for _ in range(dim):
-                i = rng.randint(0, flag.length)
-                counts[i] = counts.get(i, 0) + 1
-            m = mono(counts)
+            m = mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
             c = _random_coeff(rng, flag.group)
             zero = CoeffPoly.zero(flag.group)
             terms[m] = terms.get(m, zero) + c
@@ -199,21 +196,17 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
             return x
 
 
-def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:
+def _invertible_chars(flag: Flag, mode: str) -> list:
+    """The characters whose coaugmentation classes the mode inverts, in
+    order of first occurrence in the flag (the trivial one first)."""
     if mode == "mUP":
-        alphas = [flag.group.identity]
-    else:
-        seen = set()
-        alphas = []
-        for c in flag.chars:
-            if c.residues not in seen:
-                seen.add(c.residues)
-                alphas.append(c)
-    denom: dict = {}
-    for _ in range(total):
-        al = rng.choice(alphas)
-        denom[al] = denom.get(al, 0) + 1
-    return denom
+        return [flag.group.identity]
+    return list(dict.fromkeys(flag.chars))
+
+
+def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:
+    alphas = _invertible_chars(flag, mode)
+    return Counter(rng.choice(alphas) for _ in range(total))
 
 
 def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
@@ -275,12 +268,7 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
         rng = random.Random(cfg.rng_seed)
         for n in range(0, cfg.max_dimension + 1):
             monos = itertools.combinations_with_replacement(range(flag.length + 1), n)
-            xs = []
-            for combo in monos:
-                counts: dict = {}
-                for i in combo:
-                    counts[i] = counts.get(i, 0) + 1
-                xs.append(SymPoly(flag, shift, {mono(counts): 1}))
+            xs = [SymPoly(flag, shift, {mono(Counter(combo)): 1}) for combo in monos]
             # a few random coefficient-linear combinations per dimension
             for _ in range(3):
                 if xs:
@@ -310,10 +298,7 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
             for combo in itertools.combinations_with_replacement(
                 range(1, flag.length + 1), n + 1
             ):
-                counts = {}
-                for i in combo:
-                    counts[i] = counts.get(i, 0) + 1
-                x = SymPoly(flag, shift, {mono(counts): 1})
+                x = SymPoly(flag, shift, {mono(Counter(combo)): 1})
                 cases += 1
                 back = retract(x, n)
                 if not back.is_zero:
@@ -422,13 +407,7 @@ def check_periodicity(cfg: SweepConfig) -> CheckResult:
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_flag_len)
         for mode, shift in (("MUP", -2), ("mUP", 2)):
-            alphas = [group.identity]
-            if mode == "MUP":
-                seen = {group.identity.residues}
-                for c in flag.chars:
-                    if c.residues not in seen:
-                        seen.add(c.residues)
-                        alphas.append(c)
+            alphas = _invertible_chars(flag, mode)
             for _ in range(cfg.random_cases):
                 total = rng.randint(0, cfg.max_dimension)
                 extra = rng.randint(0, 2)

@@ -2,7 +2,6 @@ import json
 import pathlib
 
 import jsonschema
-import pytest
 
 from equibord.cli import main
 

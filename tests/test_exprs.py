@@ -168,3 +168,79 @@ def test_whitespace_insensitive():
     a = val("beta[1]*beta[2]/theta[(1)]^2")
     b = val("  beta[1] * beta[2]  /  theta[(1)] ^ 2 ")
     assert frac_eq(a.payload, b.payload)
+
+
+# The parser's kind matrix: every pair of operand kinds under each binary
+# operator, in the three shift/mode contexts.  An operand is
+# (text, kind, the inverted class it denotes or None); the expected outcome
+# is a value kind, "comparison", or the exception class.
+_MATRIX_CTX = {
+    "MUP/-2": ExprContext(F2, -2, "MUP"),
+    "MUP/+2": ExprContext(F2, 2, "MUP"),
+    "mUP/+2": ExprContext(F2, 2, "mUP"),
+}
+
+
+def _matrix_operands(ctx):
+    f = ctx.family
+    return (
+        ("2", "coeff", None),
+        ("e[(1)]", "coeff", None),
+        ("beta[1]", "sym", None),
+        ("theta[(1)]", "sym", "theta"),
+        ("(beta[1]/theta[(1)])", "frac", None),
+        (f"{f}[1]", "gen", None),
+        (f"{f}theta[(1)]", "gen", "btheta"),
+    )
+
+
+_FLAG_SIDE = {"sym", "frac"}
+_TOWER = ("coeff", "sym", "frac")
+
+
+def _expected(ctx, lhs, op, rhs):
+    (_, ka, _), (_, kb, inv_b) = lhs, rhs
+    for _, kind, _ in (lhs, rhs):
+        if kind == "frac" and ctx.mode == "mUP":
+            return PreconditionError  # the operand itself divides by theta[(1)]
+    if op == "/" and inv_b is None:
+        return SpecParseError
+    if {ka, kb} & _FLAG_SIDE and "gen" in {ka, kb}:
+        return SpecParseError
+    if op == "==":
+        return "comparison"
+    if op == "/":
+        if inv_b == "btheta":
+            return "gen"
+        return PreconditionError if ctx.mode == "mUP" else "frac"
+    if "gen" in {ka, kb}:
+        return "gen"
+    return _TOWER[max(_TOWER.index(ka), _TOWER.index(kb))]
+
+
+_MATRIX_CASES = [
+    (name, f"{a[0]} {op} {b[0]}", _expected(ctx, a, op, b))
+    for name, ctx in _MATRIX_CTX.items()
+    for op in ("+", "-", "*", "/", "==")
+    for a in _matrix_operands(ctx)
+    for b in _matrix_operands(ctx)
+] + [
+    ("mUP/+2", "c[1]/theta[(1)]", SpecParseError),
+    ("mUP/+2", "2/theta[(1)]", PreconditionError),
+    ("MUP/-2", "beta[1]/(2*theta[(1)])", SpecParseError),
+    ("mUP/+2", "c[1]/ctheta[(1)]", "gen"),
+    ("MUP/-2", "2 == b[1]", "comparison"),
+]
+
+
+@pytest.mark.parametrize("ctx_name,text,expected", _MATRIX_CASES)
+def test_kind_matrix(ctx_name, text, expected):
+    ctx = _MATRIX_CTX[ctx_name]
+    if isinstance(expected, type):
+        with pytest.raises(expected) as info:
+            eval_expression(text, ctx)
+        assert info.type is expected
+        return
+    out = eval_expression(text, ctx)
+    got = out["kind"] if out["kind"] == "comparison" else out["value"].kind
+    assert got == expected

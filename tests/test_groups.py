@@ -2,7 +2,6 @@ import pytest
 
 from equibord.errors import MismatchError, PreconditionError, SpecParseError
 from equibord.groups import (
-    AbelianGroup,
     Character,
     Representation,
     parse_character,

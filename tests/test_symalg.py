@@ -2,7 +2,7 @@ import pytest
 
 from equibord.coeff import CoeffPoly
 from equibord.errors import MismatchError, PreconditionError
-from equibord.flags import Flag, coaug, parse_flag
+from equibord.flags import Flag, parse_flag
 from equibord.groups import parse_group
 from equibord.symalg import (
     BExpr,
