@@ -149,28 +149,7 @@ class CoeffPoly(RingOps):
 
         Symbols absent from the assignment map to themselves.
         """
-        values: dict[tuple, CoeffPoly] = {}
-        for ch, val in assignment.items():
-            if not isinstance(ch, Character) or ch.group != self.group:
-                raise MismatchError(f"assignment key {ch!r} is not a character of {self.group}")
-            if ch.is_trivial:
-                raise PreconditionError("the trivial character has no Euler symbol")
-            v = self._coerce(val)
-            if v is None:
-                raise PreconditionError(f"assignment value {val!r} is not a coefficient")
-            values[ch.residues] = v
-        out = CoeffPoly.zero(self.group)
-        for m, c in self.terms.items():
-            term = CoeffPoly.const(self.group, c)
-            for rs, k in m:
-                base = values.get(rs)
-                if base is None:
-                    base = CoeffPoly(self.group, {((rs, k),): 1})
-                    term = term * base
-                else:
-                    term = term * base**k
-            out = out + term
-        return out
+        return specializer(self.group, assignment)(self)
 
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order."""
@@ -193,6 +172,46 @@ class CoeffPoly(RingOps):
 
     def __repr__(self):
         return f"CoeffPoly({self.group}, {self})"
+
+
+def specializer(group: AbelianGroup, assignment: dict):
+    """CoeffPoly.specialize as a function on the CoeffPolys of group, with the
+    assignment checked once, entry by entry in its order.
+
+    The function keeps the symbol powers it forms, and a monomial with a
+    symbol sent to zero contributes nothing.
+    """
+    zero = CoeffPoly.zero(group)
+    values: dict[tuple, CoeffPoly] = {}
+    for ch, val in assignment.items():
+        if not isinstance(ch, Character) or ch.group != group:
+            raise MismatchError(f"assignment key {ch!r} is not a character of {group}")
+        if ch.is_trivial:
+            raise PreconditionError("the trivial character has no Euler symbol")
+        v = zero._coerce(val)
+        if v is None:
+            raise PreconditionError(f"assignment value {val!r} is not a coefficient")
+        values[ch.residues] = v
+    powers: dict[tuple, dict] = {}
+
+    def apply(x: CoeffPoly) -> CoeffPoly:
+        acc: dict = {}
+        for m, c in x.terms.items():
+            term = {(): c}
+            for rs, k in m:
+                p = powers.get((rs, k))
+                if p is None:
+                    v = values.get(rs)
+                    p = powers[rs, k] = {((rs, k),): 1} if v is None else (v**k).terms
+                if not p:
+                    break
+                term = mul_terms(term, p, 0)
+            else:
+                for tm, tc in term.items():
+                    acc[tm] = acc.get(tm, 0) + tc
+        return CoeffPoly(group, acc)
+
+    return apply
 
 
 def euler_class(rep: Representation) -> CoeffPoly:

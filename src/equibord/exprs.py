@@ -176,10 +176,10 @@ class _Parser:
             )
         self._check_sides(a.kind, b.kind)
         ctx = self.ctx
+        # the flag-side inverse refuses what the mode does not invert, on either side
+        inverse = LocFraction(SymPoly.one(ctx.flag, ctx.shift), b.sig, ctx.mode)
         if b.kind == "gen":
             inverse = BExpr(ctx.flag, ctx.family, {(): 1}, b.sig)
-        else:
-            inverse = LocFraction(SymPoly.one(ctx.flag, ctx.shift), b.sig, ctx.mode)
         return _Val(a.payload * inverse)
 
     # grammar -----------------------------------------------------------

@@ -12,7 +12,7 @@ first occurrence of alpha in the flag.
 
 from __future__ import annotations
 
-from .coeff import CoeffPoly, euler_class
+from .coeff import CoeffPoly, euler_class, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, parse_character
 from .sparse import RingOps, add_terms, mono
@@ -52,7 +52,7 @@ class Flag:
         """The i-th stage V_i as a representation; V_0 is zero."""
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
-        return Representation(self.group, self.chars[:i])
+        return Representation._of(self.group, self.chars[:i])
 
     def first_index(self, alpha: Character) -> int | None:
         """1-based index of the first occurrence of alpha, or None."""
@@ -164,10 +164,12 @@ class ProjClass(RingOps):
     __hash__ = None
 
     def specialize(self, assignment: dict) -> "ProjClass":
-        """Apply a coefficient-ring map to every basis coefficient."""
-        return ProjClass(
-            self.flag, {i: c.specialize(assignment) for i, c in self.coeffs.items()}
-        )
+        """Apply a coefficient-ring map to every basis coefficient; the
+        assignment is checked only when there is a coefficient."""
+        if not self.coeffs:
+            return self
+        spec = specializer(self.flag.group, assignment)
+        return ProjClass(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
 
     def degree(self) -> int | None:
         """Homological degree, with beta_i in degree 2i; None for zero."""

@@ -46,17 +46,19 @@ class AbelianGroup:
             raise PreconditionError(
                 f"expected {len(self.cyclic_orders)} residues, got {len(rs)}"
             )
-        return Character(self, tuple(int(r) % n for r, n in zip(rs, self.cyclic_orders)))
+        return Character._of(self, tuple(int(r) % n for r, n in zip(rs, self.cyclic_orders)))
 
     def characters(self) -> list["Character"]:
         """All characters in lexicographic order; the trivial one comes first."""
         return [
-            Character(self, rs)
+            Character._of(self, rs)
             for rs in itertools.product(*(range(n) for n in self.cyclic_orders))
         ]
 
     def __eq__(self, other):
-        return isinstance(other, AbelianGroup) and self.cyclic_orders == other.cyclic_orders
+        return self is other or (
+            isinstance(other, AbelianGroup) and self.cyclic_orders == other.cyclic_orders
+        )
 
     def __hash__(self):
         return hash(self.cyclic_orders)
@@ -87,6 +89,13 @@ class Character:
         self.residues = rs
         self._hash = hash((group.cyclic_orders, rs))
 
+    @classmethod
+    def _of(cls, group: AbelianGroup, residues: tuple) -> "Character":
+        """Wrap a residue tuple that is already reduced mod the group's orders."""
+        ch = object.__new__(cls)
+        ch.group, ch.residues, ch._hash = group, residues, hash((group.cyclic_orders, residues))
+        return ch
+
     @property
     def is_trivial(self) -> bool:
         return not any(self.residues)
@@ -94,17 +103,17 @@ class Character:
     def __mul__(self, other: "Character") -> "Character":
         if not isinstance(other, Character):
             return NotImplemented
-        if self.group != other.group:
+        group = self.group
+        if other.group is not group and other.group != group:
             raise MismatchError("characters of different groups")
-        rs = tuple(
-            (a + b) % n
-            for a, b, n in zip(self.residues, other.residues, self.group.cyclic_orders)
-        )
-        return Character(self.group, rs)
+        rs = tuple([
+            (a + b) % n for a, b, n in zip(self.residues, other.residues, group.cyclic_orders)
+        ])
+        return Character._of(group, rs)
 
     def inverse(self) -> "Character":
         rs = tuple((-r) % n for r, n in zip(self.residues, self.group.cyclic_orders))
-        return Character(self.group, rs)
+        return Character._of(self.group, rs)
 
     def __eq__(self, other):
         return (
@@ -141,6 +150,13 @@ class Representation:
         self.group = group
         self.summands = tuple(sorted(chars, key=lambda c: c.residues))
 
+    @classmethod
+    def _of(cls, group: AbelianGroup, chars) -> "Representation":
+        """The representation on characters already known to belong to group."""
+        rep = object.__new__(cls)
+        rep.group, rep.summands = group, tuple(sorted(chars, key=lambda c: c.residues))
+        return rep
+
     @property
     def dim(self) -> int:
         return len(self.summands)
@@ -158,7 +174,7 @@ class Representation:
 
     def tensor(self, alpha: Character) -> "Representation":
         """Twist every summand by the character alpha."""
-        return Representation(self.group, tuple(alpha * c for c in self.summands))
+        return Representation._of(self.group, [alpha * c for c in self.summands])
 
     def __eq__(self, other):
         return (

@@ -92,15 +92,20 @@ def mul_terms(t1: dict, t2: dict, zero) -> dict:
 
 
 def power(x, n: int, one):
-    """x ** n by square-and-multiply, for n >= 0; one is the unit."""
-    out = one
-    base = x
-    while n:
-        if n & 1:
-            out = out * base
+    """x ** n by square-and-multiply, for n >= 0; one is the unit, returned
+    for n = 0 only (x ** 1 is x itself)."""
+    if not n:
+        return one
+    while not n & 1:
+        x = x * x
         n >>= 1
-        if n:
-            base = base * base
+    out = x
+    n >>= 1
+    while n:
+        x = x * x
+        if n & 1:
+            out = out * x
+        n >>= 1
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeff import CoeffPoly
+from .coeff import CoeffPoly, specializer
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, ProjClass, aug, coaug
 from .groups import Character, format_residues
@@ -206,12 +206,12 @@ class SymPoly(RingOps):
         return None if quot is None else SymPoly(self.flag, self.shift, quot)
 
     def specialize(self, assignment: dict) -> "SymPoly":
-        """Apply a coefficient-ring map to every term's coefficient."""
-        return SymPoly(
-            self.flag,
-            self.shift,
-            {m: c.specialize(assignment) for m, c in self.terms.items()},
-        )
+        """Apply a coefficient-ring map to every term's coefficient; the
+        assignment is checked only when there is a term."""
+        if not self.terms:
+            return self
+        spec = specializer(self.flag.group, assignment)
+        return SymPoly(self.flag, self.shift, {m: spec(c) for m, c in self.terms.items()})
 
     def __str__(self):
         return join_signed(_term_parts(self, "beta"))
@@ -671,7 +671,8 @@ def _to_generators(a: LocFraction, family: str) -> BExpr:
     terms: dict = {}
     for m, c in a.num.terms.items():
         key = mono({i: k for i, k in m if i})
-        assert key not in terms  # distinct monomials of one dimension stay distinct
+        if key in terms:
+            raise RuntimeError(f"two numerator monomials of one dimension rewrite to {key!r}")
         terms[key] = c
     denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
     return BExpr(a.num.flag, family, terms, denom)
@@ -726,7 +727,8 @@ def mup_normal_form(a: LocFraction) -> BExpr:
     if a.num.shift != 2:
         raise PreconditionError("the connective periodic ring has shift +2")
     out = _to_generators(a, "c")
-    assert not out.denom  # mUP only ever inverts the trivial class
+    if out.denom:
+        raise RuntimeError("an mUP fraction kept a nontrivial inverted class")
     return out
 
 

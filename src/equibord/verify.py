@@ -130,9 +130,10 @@ def _eval_argv(gspec: str, flag: Flag, expr: str, shift: int | None = None, theo
 
 
 def _complete_flags(group, max_len: int):
-    """All flags of length <= max_len whose truncation contains every character."""
+    """All flags of length <= max_len whose truncation contains every character;
+    none is shorter than the group order."""
     chars = group.characters()
-    for length in range(1, max_len + 1):
+    for length in range(group.order, max_len + 1):
         for tail in itertools.product(chars, repeat=length - 1):
             flag_chars = (chars[0],) + tail
             if len({c.residues for c in flag_chars}) == group.order:

@@ -185,6 +185,24 @@ def test_eval_exit_codes(capsys):
     assert "nest" in err
 
 
+def test_connective_generator_division_is_refused(capsys):
+    for theory in ("mU", "mUP"):
+        for expr in ("c[1]/ctheta[(1)]", "c[1]/ctheta[(1)] == c[1]"):
+            rc, out, err = run(
+                capsys, "eval", "--group", "Z2", "--truncate", "2", "--theory", theory,
+                "--expr", expr,
+            )
+            assert rc == 3, (theory, expr)
+            assert out == ""
+            assert "mUP mode only inverts the trivial coaugmentation class" in err
+    rc, out, _ = run(
+        capsys, "eval", "--group", "Z2", "--truncate", "2", "--theory", "mU",
+        "--expr", "c[1]/ctheta[(0)]",
+    )
+    assert rc == 0
+    assert "value: c[1]" in out
+
+
 def test_specialize_applies_to_output_only(capsys, tmp_path):
     sp = tmp_path / "sp.txt"
     sp.write_text("# kill the sign character\ne[(1)] = 0\n")

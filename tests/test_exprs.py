@@ -210,9 +210,9 @@ def _expected(ctx, lhs, op, rhs):
     if op == "==":
         return "comparison"
     if op == "/":
-        if inv_b == "btheta":
-            return "gen"
-        return PreconditionError if ctx.mode == "mUP" else "frac"
+        if ctx.mode == "mUP":
+            return PreconditionError  # mUP inverts no nontrivial class on either side
+        return "gen" if inv_b == "btheta" else "frac"
     if "gen" in {ka, kb}:
         return "gen"
     return _TOWER[max(_TOWER.index(ka), _TOWER.index(kb))]
@@ -228,7 +228,8 @@ _MATRIX_CASES = [
     ("mUP/+2", "c[1]/theta[(1)]", SpecParseError),
     ("mUP/+2", "2/theta[(1)]", PreconditionError),
     ("MUP/-2", "beta[1]/(2*theta[(1)])", SpecParseError),
-    ("mUP/+2", "c[1]/ctheta[(1)]", "gen"),
+    ("mUP/+2", "c[1]/ctheta[(1)]", PreconditionError),
+    ("mUP/+2", "c[1]/ctheta[(0)]", "gen"),
     ("MUP/-2", "2 == b[1]", "comparison"),
 ]
 
