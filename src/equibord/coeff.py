@@ -178,8 +178,10 @@ def specializer(group: AbelianGroup, assignment: dict):
     """CoeffPoly.specialize as a function on the CoeffPolys of group, with the
     assignment checked once, entry by entry in its order.
 
-    The function keeps the symbol powers it forms, and a monomial with a
-    symbol sent to zero contributes nothing.
+    A monomial with a symbol sent to zero contributes nothing. SymPoly and
+    ProjClass specialize their coefficients through this function, not
+    through CoeffPoly.specialize, so a traced benchmark run (--trace 1)
+    does not count that time under CoeffPoly.specialize.
     """
     zero = CoeffPoly.zero(group)
     values: dict[tuple, CoeffPoly] = {}
@@ -192,19 +194,19 @@ def specializer(group: AbelianGroup, assignment: dict):
         if v is None:
             raise PreconditionError(f"assignment value {val!r} is not a coefficient")
         values[ch.residues] = v
-    powers: dict[tuple, dict] = {}
 
     def apply(x: CoeffPoly) -> CoeffPoly:
         acc: dict = {}
         for m, c in x.terms.items():
             term = {(): c}
             for rs, k in m:
-                p = powers.get((rs, k))
-                if p is None:
-                    v = values.get(rs)
-                    p = powers[rs, k] = {((rs, k),): 1} if v is None else (v**k).terms
-                if not p:
+                v = values.get(rs)
+                if v is None:
+                    p = {((rs, k),): 1}
+                elif not v:
                     break
+                else:
+                    p = (v**k).terms
                 term = mul_terms(term, p, 0)
             else:
                 for tm, tc in term.items():

@@ -104,11 +104,11 @@ class Character:
         if not isinstance(other, Character):
             return NotImplemented
         group = self.group
-        if other.group is not group and other.group != group:
+        if other.group != group:
             raise MismatchError("characters of different groups")
-        rs = tuple([
+        rs = tuple(
             (a + b) % n for a, b, n in zip(self.residues, other.residues, group.cyclic_orders)
-        ])
+        )
         return Character._of(group, rs)
 
     def inverse(self) -> "Character":
