@@ -1,8 +1,12 @@
 import json
+import pathlib
 
+import jsonschema
 import pytest
 
+from equibord import verify
 from equibord.errors import SpecParseError
+from equibord.flags import ProjClass, aug
 from equibord.verify import (
     ALL_CHECKS,
     SweepConfig,
@@ -135,3 +139,128 @@ def test_check_budgets_small_config():
     ):
         result = check(SMALL)
         assert result.millis < 30_000
+
+
+# failure paths --------------------------------------------------------------
+
+
+def _fault_at(monkeypatch, name, k, fault):
+    """Patch verify.<name> so that its k-th call returns fault(result, *args)."""
+    real = getattr(verify, name)
+    calls = 0
+
+    def patched(*args):
+        nonlocal calls
+        calls += 1
+        out = real(*args)
+        return fault(out, *args) if calls == k else out
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+def _zero_class(out, flag, *rest):
+    return ProjClass(flag, {})
+
+
+def _unequal(out, *args):
+    return False
+
+
+def _echo_input(out, y, n):
+    return y
+
+
+def _vanish(out, flag, alpha, x):
+    return x - x
+
+
+def _shift_rhs(out, *args):
+    return (out[0], out[1] + 1, *out[2:])
+
+
+def _invert_something(out, *args):
+    return {**out, "inverted": ["x"]}
+
+
+def _plus_one(out, *args):
+    return out + 1
+
+
+CASE_KEYS = {
+    "duality": ["group", "flag", "alpha", "closed_form", "duality", "argv"],
+    "rewrite": ["group", "flag", "mode", "shift", "fraction", "rewritten", "expanded", "argv"],
+    "retraction": ["group", "flag", "dimension", "input", "retracted", "argv"],
+    "period": ["group", "flag", "mode", "alpha", "fraction", "argv"],
+    "injective": ["group", "flag", "mode", "alpha", "input", "argv"],
+    "collapse": ["group", "flag", "fraction", "collapsed", "argv"],
+    "presentation": ["group", "flag", "theory", "generators", "inverted", "argv"],
+    "flagged_on_z2": ["reason", "detail", "argv"],
+}
+
+# (check, patched name, failing call, fault, cases counted, counterexample keys)
+FAULTS = [
+    (check_coaug_duality, "coaug_via_duality", 1, _zero_class, 1, "duality"),
+    (check_coaug_duality, "coaug_via_duality", 50, _zero_class, 50, "duality"),
+    (check_rewrite_roundtrip, "frac_eq", 1, _unequal, 1, "rewrite"),
+    (check_rewrite_roundtrip, "frac_eq", 30, _unequal, 30, "rewrite"),
+    (check_retraction, "retract", 1, _echo_input, 1, "retraction"),
+    (check_retraction, "retract", 5, _echo_input, 5, "retraction"),
+    (check_retraction, "retract", 40, _echo_input, 40, "retraction"),
+    (check_periodicity, "theta_mul", 1, _vanish, 1, "period"),
+    (check_periodicity, "theta_mul", 78, _vanish, 78, "injective"),
+    (check_specialization_collapse, "lift_to_common", 1, _shift_rhs, 3, "collapse"),
+    (check_specialization_collapse, "lift_to_common", 17, _shift_rhs, 23, "collapse"),
+    (check_specialization_collapse, "presentation", 2, _invert_something, 64, "presentation"),
+    (check_mutation_sensitivity, "_mutated_aug", 11, _plus_one, 3, "flagged_on_z2"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, k, fault, cases, keys", FAULTS,
+    ids=[f"{f[0].__name__}-{f[1]}-{f[2]}" for f in FAULTS],
+)
+def test_check_reports_first_counterexample(monkeypatch, check, name, k, fault, cases, keys):
+    _fault_at(monkeypatch, name, k, fault)
+    result = check(SMALL)
+    assert result.check == check.__name__
+    assert result.status == "fail"
+    assert result.cases == cases
+    assert list(result.counterexample) == CASE_KEYS[keys]
+    assert result.counterexample["argv"]
+
+
+def test_retraction_reports_both_branches(monkeypatch):
+    # the fifth retraction is of a monomial without beta_0, which must vanish
+    _fault_at(monkeypatch, "retract", 5, _echo_input)
+    assert check_retraction(SMALL).counterexample["argv"][-1].endswith(") == 0")
+    monkeypatch.undo()
+    _fault_at(monkeypatch, "retract", 1, _echo_input)
+    assert check_retraction(SMALL).counterexample["argv"][-1] == "(beta[0]) == (1)"
+
+
+def test_undetected_mutation_fails_the_sensitivity_check(monkeypatch):
+    monkeypatch.setattr(verify, "_mutated_aug", aug)
+    result = check_mutation_sensitivity(SMALL)
+    assert result.status == "fail"
+    assert result.cases == 316
+    assert list(result.counterexample) == ["reason", "argv"]
+
+
+def test_failing_report_matches_schema(monkeypatch, tmp_path, capsys):
+    from equibord.cli import main
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SMALL.to_json().items() if k != "groups")
+                   + "groups = " + ", ".join(SMALL.groups) + "\n")
+    _fault_at(monkeypatch, "presentation", 1, _invert_something)
+    _fault_at(monkeypatch, "_mutated_aug", 11, _plus_one)
+    assert main(["verify", "--config", str(cfg), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    schema = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                         / "schemas" / "verify.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    failed = {c["check"]: c for c in doc["checks"] if c["status"] == "fail"}
+    assert sorted(failed) == ["check_mutation_sensitivity", "check_specialization_collapse"]
+    assert failed["check_specialization_collapse"]["cases"] == 63
+    assert failed["check_mutation_sensitivity"]["counterexample"]["detail"]["group"] == "Z2"
+    assert doc["status"] == "fail"
