@@ -1,19 +1,22 @@
 """Brute-force oracles and property sweeps over the algebra layers.
 
 Each check runs an exhaustive or seeded-random sweep of one identity and
-returns a CheckResult; run_suite aggregates them.  Reports are fully
-deterministic for a fixed SweepConfig (wall-clock millis aside), and every
-failure carries a counterexample whose argv member replays the failing
-comparison through the command line.
+returns a CheckResult; run_suite aggregates them.  A sweep yields one
+outcome per case, None when the identity holds and the counterexample when
+it fails; the check counts the cases up to and including the first
+counterexample and stops there.  Reports are fully deterministic for a
+fixed SweepConfig (wall-clock millis aside), and every counterexample's
+argv member replays the failing comparison through the command line.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .coeff import CoeffPoly, euler_class
 from .errors import SpecParseError
@@ -70,14 +73,7 @@ class SweepConfig:
             raise SpecParseError("groups must be nonempty")
 
     def to_json(self) -> dict:
-        return {
-            "groups": list(self.groups),
-            "max_flag_len": self.max_flag_len,
-            "max_dimension": self.max_dimension,
-            "max_index": self.max_index,
-            "random_cases": self.random_cases,
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "groups": list(self.groups)}
 
 
 @dataclass
@@ -89,14 +85,9 @@ class CheckResult:
     counterexample: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "status": self.status,
-            "cases": self.cases,
-            "millis": self.millis,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        out = asdict(self)
+        if self.counterexample is None:
+            del out["counterexample"]
         return out
 
 
@@ -117,6 +108,28 @@ class Report:
 def _finish(name: str, t0: float, cases: int, cx: dict | None) -> CheckResult:
     millis = int((time.perf_counter() - t0) * 1000)
     return CheckResult(name, "fail" if cx else "pass", cases, millis, cx)
+
+
+def _first_failure(outcomes) -> tuple:
+    """(cases, counterexample or None): the outcomes are counted up to and
+    including the first counterexample, and none is drawn after it."""
+    cases = 0
+    for cx in outcomes:
+        cases += 1
+        if cx is not None:
+            return cases, cx
+    return cases, None
+
+
+def _check(sweep):
+    """The timed check of a sweep that yields one outcome per case."""
+
+    @functools.wraps(sweep)
+    def check(cfg: SweepConfig) -> CheckResult:
+        t0 = time.perf_counter()
+        return _finish(sweep.__name__, t0, *_first_failure(sweep(cfg)))
+
+    return check
 
 
 def _eval_argv(gspec: str, flag: Flag, expr: str, shift: int | None = None, theory: str | None = None) -> list:
@@ -140,33 +153,32 @@ def _complete_flags(group, max_len: int):
                 yield Flag(group, flag_chars)
 
 
-def _duality_sweep(groups, max_flag_len: int, augmentation=aug):
+def _duality_cases(groups, max_flag_len: int, augmentation):
     """Compare the closed coaugmentation formula against the duality route."""
-    cases = 0
     for gspec in groups:
         group = parse_group(gspec)
         for flag in _complete_flags(group, max_flag_len):
             for alpha in group.characters():
-                cases += 1
                 closed = coaug(flag, alpha)
                 dual = coaug_via_duality(flag, alpha, augmentation)
-                if closed != dual:
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "alpha": str(alpha),
-                        "closed_form": str(closed),
-                        "duality": str(dual),
-                        "argv": _eval_argv(gspec, flag, f"({closed}) == ({dual})"),
-                    }
-                    return cases, cx
-    return cases, None
+                yield None if closed == dual else {
+                    "group": gspec,
+                    "flag": str(flag),
+                    "alpha": str(alpha),
+                    "closed_form": str(closed),
+                    "duality": str(dual),
+                    "argv": _eval_argv(gspec, flag, f"({closed}) == ({dual})"),
+                }
 
 
-def check_coaug_duality(cfg: SweepConfig) -> CheckResult:
-    t0 = time.perf_counter()
-    cases, cx = _duality_sweep(cfg.groups, cfg.max_flag_len)
-    return _finish("check_coaug_duality", t0, cases, cx)
+def _duality_sweep(groups, max_flag_len: int, augmentation=aug):
+    """(cases, counterexample or None) of the duality comparison."""
+    return _first_failure(_duality_cases(groups, max_flag_len, augmentation))
+
+
+@_check
+def check_coaug_duality(cfg: SweepConfig):
+    yield from _duality_cases(cfg.groups, cfg.max_flag_len, aug)
 
 
 def _random_coeff(rng: random.Random, group) -> CoeffPoly:
@@ -217,12 +229,10 @@ def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
     return LocFraction(num, denom, mode)
 
 
-def check_rewrite_roundtrip(cfg: SweepConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_rewrite_roundtrip(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
     routes = (("MUP", -2, "b"), ("mUP", 2, "c"), ("MUP", 2, "c"))
-    cases = 0
-    cx = None
     for gspec in cfg.groups:
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_flag_len)
@@ -233,40 +243,41 @@ def check_rewrite_roundtrip(cfg: SweepConfig) -> CheckResult:
                 for _ in range(cfg.random_cases)
             ]
             for x in samples:
-                cases += 1
                 e = to_b_generators(x) if family == "b" else to_c_generators(x)
                 y = expand_b(e, x.mode)
-                if not frac_eq(y, x):
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "mode": mode,
-                        "shift": shift,
-                        "fraction": str(x),
-                        "rewritten": str(e),
-                        "expanded": str(y),
-                        "argv": _eval_argv(
-                            gspec, flag, f"({x}) == ({y})", shift=shift, theory=mode
-                        ),
-                    }
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    return _finish("check_rewrite_roundtrip", t0, cases, cx)
+                yield None if frac_eq(y, x) else {
+                    "group": gspec,
+                    "flag": str(flag),
+                    "mode": mode,
+                    "shift": shift,
+                    "fraction": str(x),
+                    "rewritten": str(e),
+                    "expanded": str(y),
+                    "argv": _eval_argv(
+                        gspec, flag, f"({x}) == ({y})", shift=shift, theory=mode
+                    ),
+                }
 
 
-def check_retraction(cfg: SweepConfig) -> CheckResult:
-    t0 = time.perf_counter()
-    cases = 0
-    cx = None
+@_check
+def check_retraction(cfg: SweepConfig):
     shift = -2
     for gspec in cfg.groups:
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_index)
         eps = group.identity
         rng = random.Random(cfg.rng_seed)
+
+        def cx(n, x, back, claim):
+            return {
+                "group": gspec,
+                "flag": str(flag),
+                "dimension": n,
+                "input": str(x),
+                "retracted": str(back),
+                "argv": _eval_argv(gspec, flag, claim, shift=shift),
+            }
+
         for n in range(0, cfg.max_dimension + 1):
             monos = itertools.combinations_with_replacement(range(flag.length + 1), n)
             xs = [SymPoly(flag, shift, {mono(Counter(combo)): 1}) for combo in monos]
@@ -280,49 +291,19 @@ def check_retraction(cfg: SweepConfig) -> CheckResult:
                     if not acc.is_zero:
                         xs.append(acc)
             for x in xs:
-                cases += 1
-                y = theta_mul(flag, eps, x)
-                back = retract(y, n)
-                if back != x:
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "dimension": n,
-                        "input": str(x),
-                        "retracted": str(back),
-                        "argv": _eval_argv(gspec, flag, f"({back}) == ({x})", shift=shift),
-                    }
-                    break
-            if cx:
-                break
+                back = retract(theta_mul(flag, eps, x), n)
+                yield None if back == x else cx(n, x, back, f"({back}) == ({x})")
             # monomials without beta_0 retract to zero
             for combo in itertools.combinations_with_replacement(
                 range(1, flag.length + 1), n + 1
             ):
                 x = SymPoly(flag, shift, {mono(Counter(combo)): 1})
-                cases += 1
                 back = retract(x, n)
-                if not back.is_zero:
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "dimension": n,
-                        "input": str(x),
-                        "retracted": str(back),
-                        "argv": _eval_argv(gspec, flag, f"({back}) == 0", shift=shift),
-                    }
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    return _finish("check_retraction", t0, cases, cx)
+                yield None if back.is_zero else cx(n, x, back, f"({back}) == 0")
 
 
-def check_specialization_collapse(cfg: SweepConfig) -> CheckResult:
-    t0 = time.perf_counter()
-    cases = 0
-    cx = None
+@_check
+def check_specialization_collapse(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
     for gspec in cfg.groups:
         group = parse_group(gspec)
@@ -330,30 +311,22 @@ def check_specialization_collapse(cfg: SweepConfig) -> CheckResult:
         zero_asg = {c: 0 for c in group.characters() if not c.is_trivial}
         beta0 = ProjClass(flag, {0: 1})
         for alpha in group.characters():
-            cases += 1
             collapsed = coaug(flag, alpha).specialize(zero_asg)
-            if collapsed != beta0:
-                cx = {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "alpha": str(alpha),
-                    "collapsed": str(collapsed),
-                    "argv": _eval_argv(gspec, flag, f"({collapsed}) == beta[0]"),
-                }
-                break
-            cases += 1
+            yield None if collapsed == beta0 else {
+                "group": gspec,
+                "flag": str(flag),
+                "alpha": str(alpha),
+                "collapsed": str(collapsed),
+                "argv": _eval_argv(gspec, flag, f"({collapsed}) == beta[0]"),
+            }
             bth = btheta_expansion(flag, "b", alpha).specialize(zero_asg)
-            if bth != BExpr.one(flag, "b"):
-                cx = {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "alpha": str(alpha),
-                    "collapsed": str(bth),
-                    "argv": _eval_argv(gspec, flag, f"({bth}) == 1", shift=-2),
-                }
-                break
-        if cx:
-            break
+            yield None if bth == BExpr.one(flag, "b") else {
+                "group": gspec,
+                "flag": str(flag),
+                "alpha": str(alpha),
+                "collapsed": str(bth),
+                "argv": _eval_argv(gspec, flag, f"({bth}) == 1", shift=-2),
+            }
         for _ in range(cfg.random_cases):
             x = _random_dim0_fraction(rng, flag, -2, "MUP", cfg.max_dimension)
             e = to_b_generators(x)
@@ -361,49 +334,37 @@ def check_specialization_collapse(cfg: SweepConfig) -> CheckResult:
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
             lhs, rhs, _ = lift_to_common(ya, yb)
-            cases += 1
-            if lhs.specialize(zero_asg) != rhs.specialize(zero_asg):
-                cx = {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "fraction": str(x),
-                    "collapsed": str(e.specialize(zero_asg)),
-                    "argv": _eval_argv(
-                        gspec,
-                        flag,
-                        f"({lhs.specialize(zero_asg)}) == ({rhs.specialize(zero_asg)})",
-                        shift=-2,
-                    ),
-                }
-                break
-        if cx:
-            break
-    if cx is None:
-        # trivial-group presentations match the non-equivariant shape
-        group = parse_group("1")
-        flag = Flag.cyclic(group, 4)
-        for theory in ("MU", "mU"):
-            cases += 1
-            pres = presentation(theory, flag)
-            degrees = [g["degree"] for g in pres["generators"]]
-            if degrees != [2, 4, 6, 8] or pres["inverted"]:
-                cx = {
-                    "group": "1",
-                    "flag": str(flag),
-                    "theory": theory,
-                    "generators": pres["generators"],
-                    "inverted": pres["inverted"],
-                    "argv": ["present", "--theory", theory, "--group", "1", "--truncate", "4"],
-                }
-                break
-    return _finish("check_specialization_collapse", t0, cases, cx)
+            yield None if lhs.specialize(zero_asg) == rhs.specialize(zero_asg) else {
+                "group": gspec,
+                "flag": str(flag),
+                "fraction": str(x),
+                "collapsed": str(e.specialize(zero_asg)),
+                "argv": _eval_argv(
+                    gspec,
+                    flag,
+                    f"({lhs.specialize(zero_asg)}) == ({rhs.specialize(zero_asg)})",
+                    shift=-2,
+                ),
+            }
+    # trivial-group presentations match the non-equivariant shape
+    group = parse_group("1")
+    flag = Flag.cyclic(group, 4)
+    for theory in ("MU", "mU"):
+        pres = presentation(theory, flag)
+        degrees = [g["degree"] for g in pres["generators"]]
+        yield None if degrees == [2, 4, 6, 8] and not pres["inverted"] else {
+            "group": "1",
+            "flag": str(flag),
+            "theory": theory,
+            "generators": pres["generators"],
+            "inverted": pres["inverted"],
+            "argv": ["present", "--theory", theory, "--group", "1", "--truncate", "4"],
+        }
 
 
-def check_periodicity(cfg: SweepConfig) -> CheckResult:
-    t0 = time.perf_counter()
+@_check
+def check_periodicity(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
-    cases = 0
-    cx = None
     for gspec in cfg.groups:
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_flag_len)
@@ -419,43 +380,32 @@ def check_periodicity(cfg: SweepConfig) -> CheckResult:
                 lifted = dict(a.denom)
                 lifted[alpha] = lifted.get(alpha, 0) + 1
                 y = LocFraction(a.num, lifted, mode)
-                cases += 1
-                if not frac_eq(theta_mul(flag, alpha, y), a):
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "mode": mode,
-                        "alpha": str(alpha),
-                        "fraction": str(a),
-                        "argv": _eval_argv(
-                            gspec,
-                            flag,
-                            f"theta[{alpha}] * ({y}) == ({a})",
-                            shift=shift,
-                            theory=mode,
-                        ),
-                    }
-                    break
+                yield None if frac_eq(theta_mul(flag, alpha, y), a) else {
+                    "group": gspec,
+                    "flag": str(flag),
+                    "mode": mode,
+                    "alpha": str(alpha),
+                    "fraction": str(a),
+                    "argv": _eval_argv(
+                        gspec,
+                        flag,
+                        f"theta[{alpha}] * ({y}) == ({a})",
+                        shift=shift,
+                        theory=mode,
+                    ),
+                }
                 # injectivity on sampled polynomials
-                cases += 1
                 x = _random_numerator(rng, flag, shift, rng.randint(0, cfg.max_dimension))
-                if theta_mul(flag, alpha, x).is_zero != x.is_zero:
-                    cx = {
-                        "group": gspec,
-                        "flag": str(flag),
-                        "mode": mode,
-                        "alpha": str(alpha),
-                        "input": str(x),
-                        "argv": _eval_argv(
-                            gspec, flag, f"theta[{alpha}] * ({x}) == 0", shift=shift
-                        ),
-                    }
-                    break
-            if cx:
-                break
-        if cx:
-            break
-    return _finish("check_periodicity", t0, cases, cx)
+                yield None if theta_mul(flag, alpha, x).is_zero == x.is_zero else {
+                    "group": gspec,
+                    "flag": str(flag),
+                    "mode": mode,
+                    "alpha": str(alpha),
+                    "input": str(x),
+                    "argv": _eval_argv(
+                        gspec, flag, f"theta[{alpha}] * ({x}) == 0", shift=shift
+                    ),
+                }
 
 
 def _mutated_aug(flag: Flag, alpha, i: int) -> CoeffPoly:
@@ -473,13 +423,9 @@ def check_mutation_sensitivity(cfg: SweepConfig) -> CheckResult:
     t0 = time.perf_counter()
     cases_c4, cx_c4 = _duality_sweep(("Z4",), 5, _mutated_aug)
     cases_c2, cx_c2 = _duality_sweep(("Z2",), 5, _mutated_aug)
-    cases = cases_c4 + cases_c2
     cx = None
     if cx_c4 is None:
-        cx = {
-            "reason": "the mutated augmentation went undetected on Z4",
-            "argv": ["verify"],
-        }
+        cx = {"reason": "the mutated augmentation went undetected on Z4", "argv": ["verify"]}
     elif cx_c2 is not None:
         cx = {
             "reason": "the mutated augmentation was flagged on Z2, "
@@ -487,7 +433,7 @@ def check_mutation_sensitivity(cfg: SweepConfig) -> CheckResult:
             "detail": cx_c2,
             "argv": ["verify"],
         }
-    return _finish("check_mutation_sensitivity", t0, cases, cx)
+    return _finish("check_mutation_sensitivity", t0, cases_c4 + cases_c2, cx)
 
 
 ALL_CHECKS = (
@@ -515,7 +461,7 @@ def default_config() -> SweepConfig:
 def load_config(path: str) -> SweepConfig:
     """Flat key = value file mirroring SweepConfig; '#' starts a comment."""
     values: dict = {}
-    int_keys = {"max_flag_len", "max_dimension", "max_index", "random_cases", "rng_seed"}
+    int_keys = {f.name for f in fields(SweepConfig)} - {"groups"}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
