@@ -165,9 +165,7 @@ class ProjClass(RingOps):
 
     def specialize(self, assignment: dict) -> "ProjClass":
         """Apply a coefficient-ring map to every basis coefficient; the
-        assignment is checked only when there is a coefficient."""
-        if not self.coeffs:
-            return self
+        assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
         return ProjClass(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
 

@@ -207,9 +207,7 @@ class SymPoly(RingOps):
 
     def specialize(self, assignment: dict) -> "SymPoly":
         """Apply a coefficient-ring map to every term's coefficient; the
-        assignment is checked only when there is a term."""
-        if not self.terms:
-            return self
+        assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
         return SymPoly(self.flag, self.shift, {m: spec(c) for m, c in self.terms.items()})
 

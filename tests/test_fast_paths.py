@@ -130,6 +130,7 @@ def test_specialize_errors_in_assignment_order():
         LocFraction(SymPoly(flag, -2, {((0, 1),): e1}), {one: 1}, "MUP"),
     ]
     zeros = [
+        CoeffPoly.zero(z4),
         ProjClass(flag, {}),
         SymPoly.zero(flag, -2),
         LocFraction(SymPoly.zero(flag, 2), {z4.identity: 1}, "mUP"),
@@ -144,13 +145,9 @@ def test_specialize_errors_in_assignment_order():
             (cls, msg) for key, val, cls, msg in (first, second)
             if assignment[key] is val
         )
-        for x in values:
+        # a zero value checks the assignment too
+        for x in values + zeros:
             assert _raised(lambda: x.specialize(assignment)) == expected
-        # a zero value has nothing to specialize and checks nothing
-        for z in zeros:
-            assert z.specialize(assignment) == z
-        # a zero coefficient polynomial still checks the assignment
-        assert _raised(lambda: CoeffPoly.zero(z4).specialize(assignment)) == expected
 
 
 # characters ---------------------------------------------------------------
