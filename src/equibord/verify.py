@@ -268,7 +268,7 @@ def check_retraction(cfg: SweepConfig):
         eps = group.identity
         rng = random.Random(cfg.rng_seed)
 
-        def cx(n, x, back, claim):
+        def failure(n, x, back, claim):
             return {
                 "group": gspec,
                 "flag": str(flag),
@@ -292,14 +292,14 @@ def check_retraction(cfg: SweepConfig):
                         xs.append(acc)
             for x in xs:
                 back = retract(theta_mul(flag, eps, x), n)
-                yield None if back == x else cx(n, x, back, f"({back}) == ({x})")
+                yield None if back == x else failure(n, x, back, f"({back}) == ({x})")
             # monomials without beta_0 retract to zero
             for combo in itertools.combinations_with_replacement(
                 range(1, flag.length + 1), n + 1
             ):
                 x = SymPoly(flag, shift, {mono(Counter(combo)): 1})
                 back = retract(x, n)
-                yield None if back.is_zero else cx(n, x, back, f"({back}) == 0")
+                yield None if back.is_zero else failure(n, x, back, f"({back}) == 0")
 
 
 @_check
