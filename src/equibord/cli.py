@@ -19,7 +19,7 @@ from .exprs import GRAMMAR_DOC, ExprContext, as_fraction, describe_value, eval_e
 from .flags import Flag, aug, coaug, parse_flag
 from .groups import parse_character, parse_group
 from .render import shown, shown_json
-from .symalg import presentation, to_b_generators, to_c_generators
+from .symalg import THEORIES, presentation, to_b_generators, to_c_generators
 from .verify import default_config, load_config, run_suite
 
 _ASSIGN_RE = re.compile(r"^e\[(?P<char>[^\]]*)\]$")
@@ -168,7 +168,7 @@ def cmd_present(args) -> int:
 
 def cmd_rewrite(args) -> int:
     group, flag = _resolve_context(args)
-    default_shift, mode = _THEORY_CONTEXT[args.theory]
+    default_shift, mode = THEORIES[args.theory]
     shift = default_shift if args.shift is None else args.shift
     if args.theory == "mU" and shift != 2:
         raise SpecParseError("theory mU fixes shift +2")
@@ -196,18 +196,10 @@ def cmd_rewrite(args) -> int:
     return _emit(args, doc, lines)
 
 
-_THEORY_CONTEXT = {
-    "MUP": (-2, "MUP"),
-    "MU": (-2, "MUP"),
-    "mUP": (2, "mUP"),
-    "mU": (2, "mUP"),
-}
-
-
 def cmd_eval(args) -> int:
     group, flag = _resolve_context(args)
     asg = _maybe_assignment(args, flag)
-    default_shift, mode = _THEORY_CONTEXT[args.theory]
+    default_shift, mode = THEORIES[args.theory]
     shift = default_shift if args.shift is None else args.shift
     ctx = ExprContext(flag, shift, mode)
     outcome = eval_expression(args.expr, ctx)
@@ -309,17 +301,16 @@ def cmd_man(args) -> int:
     return 0
 
 
-def _add_context_args(p, with_specialize=True):
+def _add_context_args(p):
     p.add_argument("--group", required=True, help='group spec, e.g. "1", "Z2", "Z2xZ4"')
     p.add_argument("--flag", help='flag spec, e.g. "(0),(1),(0),(1)"')
     p.add_argument("--truncate", type=int, help="length of the default cyclic flag")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    if with_specialize:
-        p.add_argument(
-            "--specialize",
-            metavar="FILE",
-            help="Euler-symbol assignment file applied to displayed results only",
-        )
+    p.add_argument(
+        "--specialize",
+        metavar="FILE",
+        help="Euler-symbol assignment file applied to displayed results only",
+    )
 
 
 def build_parser(return_subparsers: bool = False):
@@ -345,7 +336,7 @@ def build_parser(return_subparsers: bool = False):
         description="Print the generator/inverted-class presentation of a theory over the flag.",
     )
     _add_context_args(p)
-    p.add_argument("--theory", required=True, choices=("MUP", "mUP", "MU", "mU"))
+    p.add_argument("--theory", required=True, choices=tuple(THEORIES))
     p.add_argument("--shift", type=int, choices=(-2, 2), help="shift route (default: by theory)")
     p.set_defaults(func=cmd_present)
 
@@ -364,7 +355,7 @@ def build_parser(return_subparsers: bool = False):
         description="Evaluate an expression or decide an == comparison exactly.",
     )
     _add_context_args(p)
-    p.add_argument("--theory", choices=("MUP", "mUP", "MU", "mU"), default="MUP")
+    p.add_argument("--theory", choices=tuple(THEORIES), default="MUP")
     p.add_argument("--shift", type=int, choices=(-2, 2))
     p.add_argument("--expr", required=True)
     p.set_defaults(func=cmd_eval)

@@ -441,12 +441,6 @@ class LocFraction(_Quotient):
     def _theta(self, alpha: Character) -> SymPoly:
         return theta_sym(self.num.flag, self.num.shift, alpha)
 
-    def denominator_poly(self) -> SymPoly:
-        out = SymPoly.one(self.num.flag, self.num.shift)
-        for al, k in self.denom.items():
-            out = out * self._theta(al) ** k
-        return out
-
     def __mul__(self, other):
         return self._times(other)
 
@@ -730,19 +724,27 @@ def mup_normal_form(a: LocFraction) -> BExpr:
     return out
 
 
-def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: dict | None = None) -> dict:
-    """Generators and inverted classes of one of the four theories over a flag.
+# theory -> (default shift, localization mode).  MUP/mUP are the localized
+# symmetric algebras on beta_0..beta_N, MU/mU their degree-zero subrings on
+# the b- or c-generators; mode MUP inverts every coaugmentation class and
+# mode mUP only the trivial one.
+THEORIES = {"MUP": (-2, "MUP"), "mUP": (2, "mUP"), "MU": (-2, "MUP"), "mU": (2, "mUP")}
 
-    MUP/mUP present the localized symmetric algebras on beta_0..beta_N;
-    MU/mU present their degree-zero subrings on the b- or c-generators.
+
+def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: dict | None = None) -> dict:
+    """Generators and inverted classes of one of the THEORIES over a flag.
+
     Theories inverting every coaugmentation class need a complete flag.
     A specializing assignment, when given, is applied to the printed
     expansions of the inverted classes.
     """
+    if theory not in THEORIES:
+        raise PreconditionError(f"unknown theory {theory!r}")
+    default_shift, mode = THEORIES[theory]
+    periodic = theory.endswith("P")
+    d = default_shift if shift is None else shift
     group = flag.group
-    family = None
-    if theory in ("MUP", "MU"):
-        d = -2 if shift is None else shift
+    if mode == "MUP":
         if d not in (-2, 2):
             raise PreconditionError("presentations use shift -2 or +2")
         missing = [c for c in group.characters() if flag.first_index(c) is None]
@@ -751,61 +753,35 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
                 f"flag truncation is missing character {missing[0]}; every "
                 "coaugmentation class must be invertible for this theory"
             )
-    if theory == "MUP":
-        gens = [
-            {"symbol": f"beta[{i}]", "degree": 2 * i - d}
-            for i in range(flag.length + 1)
-        ]
+        inverts = group.characters()
+    else:
+        if d != 2:
+            what = "periodic presentation" if periodic else "presentation"
+            raise PreconditionError(f"the connective {what} has shift +2")
+        inverts = [group.identity]
+    if periodic:
+        family = None
+        gens = [{"symbol": f"beta[{i}]", "degree": 2 * i - d} for i in range(flag.length + 1)]
         inverted = [
             {
                 "symbol": f"theta[{al}]",
                 "degree": -d,
                 "expansion": shown(SymPoly.from_proj(coaug(flag, al), d), assignment),
             }
-            for al in group.characters()
+            for al in inverts
         ]
-    elif theory == "mUP":
-        d = 2 if shift is None else shift
-        if d != 2:
-            raise PreconditionError("the connective periodic presentation has shift +2")
-        gens = [
-            {"symbol": f"beta[{i}]", "degree": 2 * i - d}
-            for i in range(flag.length + 1)
-        ]
-        inverted = [
-            {
-                "symbol": f"theta[{group.identity}]",
-                "degree": -d,
-                "expansion": shown(SymPoly.from_proj(coaug(flag, group.identity), d), assignment),
-            }
-        ]
-    elif theory == "MU":
+    else:
         family = "b" if d == -2 else "c"
-        gens = [
-            {"symbol": f"{family}[{i}]", "degree": 2 * i}
-            for i in range(1, flag.length + 1)
-        ]
+        gens = [{"symbol": f"{family}[{i}]", "degree": 2 * i} for i in range(1, flag.length + 1)]
         inverted = [
             {
                 "symbol": f"{family}theta[{al}]",
                 "degree": 0,
                 "expansion": shown(btheta_expansion(flag, family, al), assignment),
             }
-            for al in group.characters()
+            for al in inverts
             if not al.is_trivial
         ]
-    elif theory == "mU":
-        d = 2 if shift is None else shift
-        if d != 2:
-            raise PreconditionError("the connective presentation has shift +2")
-        family = "c"
-        gens = [
-            {"symbol": f"c[{i}]", "degree": 2 * i}
-            for i in range(1, flag.length + 1)
-        ]
-        inverted = []
-    else:
-        raise PreconditionError(f"unknown theory {theory!r}")
     return {
         "theory": theory,
         "group": str(group),

@@ -132,14 +132,16 @@ def _check(sweep):
     return check
 
 
-def _eval_argv(gspec: str, flag: Flag, expr: str, shift: int | None = None, theory: str | None = None) -> list:
-    argv = ["eval", "--group", gspec, "--flag", str(flag)]
-    if shift is not None:
-        argv += ["--shift", str(shift)]
-    if theory is not None:
-        argv += ["--theory", theory]
-    argv += ["--expr", expr]
-    return argv
+def _cx(gspec: str, flag: Flag, claim: str, options=(), **fields) -> dict:
+    """The counterexample of a failing claim over a flag.  Fields other than
+    integers are rendered with str; argv replays the claim through eval,
+    with the options placed before --expr."""
+    return {
+        "group": gspec,
+        "flag": str(flag),
+        **{k: v if isinstance(v, int) else str(v) for k, v in fields.items()},
+        "argv": ["eval", "--group", gspec, "--flag", str(flag), *options, "--expr", claim],
+    }
 
 
 def _complete_flags(group, max_len: int):
@@ -161,14 +163,10 @@ def _duality_cases(groups, max_flag_len: int, augmentation):
             for alpha in group.characters():
                 closed = coaug(flag, alpha)
                 dual = coaug_via_duality(flag, alpha, augmentation)
-                yield None if closed == dual else {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "alpha": str(alpha),
-                    "closed_form": str(closed),
-                    "duality": str(dual),
-                    "argv": _eval_argv(gspec, flag, f"({closed}) == ({dual})"),
-                }
+                yield None if closed == dual else _cx(
+                    gspec, flag, f"({closed}) == ({dual})",
+                    alpha=alpha, closed_form=closed, duality=dual,
+                )
 
 
 def _duality_sweep(groups, max_flag_len: int, augmentation=aug):
@@ -245,18 +243,10 @@ def check_rewrite_roundtrip(cfg: SweepConfig):
             for x in samples:
                 e = to_b_generators(x) if family == "b" else to_c_generators(x)
                 y = expand_b(e, x.mode)
-                yield None if frac_eq(y, x) else {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "mode": mode,
-                    "shift": shift,
-                    "fraction": str(x),
-                    "rewritten": str(e),
-                    "expanded": str(y),
-                    "argv": _eval_argv(
-                        gspec, flag, f"({x}) == ({y})", shift=shift, theory=mode
-                    ),
-                }
+                yield None if frac_eq(y, x) else _cx(
+                    gspec, flag, f"({x}) == ({y})", ("--shift", str(shift), "--theory", mode),
+                    mode=mode, shift=shift, fraction=x, rewritten=e, expanded=y,
+                )
 
 
 @_check
@@ -269,14 +259,9 @@ def check_retraction(cfg: SweepConfig):
         rng = random.Random(cfg.rng_seed)
 
         def failure(n, x, back, claim):
-            return {
-                "group": gspec,
-                "flag": str(flag),
-                "dimension": n,
-                "input": str(x),
-                "retracted": str(back),
-                "argv": _eval_argv(gspec, flag, claim, shift=shift),
-            }
+            return _cx(
+                gspec, flag, claim, ("--shift", str(shift)), dimension=n, input=x, retracted=back
+            )
 
         for n in range(0, cfg.max_dimension + 1):
             monos = itertools.combinations_with_replacement(range(flag.length + 1), n)
@@ -312,21 +297,13 @@ def check_specialization_collapse(cfg: SweepConfig):
         beta0 = ProjClass(flag, {0: 1})
         for alpha in group.characters():
             collapsed = coaug(flag, alpha).specialize(zero_asg)
-            yield None if collapsed == beta0 else {
-                "group": gspec,
-                "flag": str(flag),
-                "alpha": str(alpha),
-                "collapsed": str(collapsed),
-                "argv": _eval_argv(gspec, flag, f"({collapsed}) == beta[0]"),
-            }
+            yield None if collapsed == beta0 else _cx(
+                gspec, flag, f"({collapsed}) == beta[0]", alpha=alpha, collapsed=collapsed
+            )
             bth = btheta_expansion(flag, "b", alpha).specialize(zero_asg)
-            yield None if bth == BExpr.one(flag, "b") else {
-                "group": gspec,
-                "flag": str(flag),
-                "alpha": str(alpha),
-                "collapsed": str(bth),
-                "argv": _eval_argv(gspec, flag, f"({bth}) == 1", shift=-2),
-            }
+            yield None if bth == BExpr.one(flag, "b") else _cx(
+                gspec, flag, f"({bth}) == 1", ("--shift", "-2"), alpha=alpha, collapsed=bth
+            )
         for _ in range(cfg.random_cases):
             x = _random_dim0_fraction(rng, flag, -2, "MUP", cfg.max_dimension)
             e = to_b_generators(x)
@@ -334,18 +311,11 @@ def check_specialization_collapse(cfg: SweepConfig):
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
             lhs, rhs, _ = lift_to_common(ya, yb)
-            yield None if lhs.specialize(zero_asg) == rhs.specialize(zero_asg) else {
-                "group": gspec,
-                "flag": str(flag),
-                "fraction": str(x),
-                "collapsed": str(e.specialize(zero_asg)),
-                "argv": _eval_argv(
-                    gspec,
-                    flag,
-                    f"({lhs.specialize(zero_asg)}) == ({rhs.specialize(zero_asg)})",
-                    shift=-2,
-                ),
-            }
+            lhs, rhs = lhs.specialize(zero_asg), rhs.specialize(zero_asg)
+            yield None if lhs == rhs else _cx(
+                gspec, flag, f"({lhs}) == ({rhs})", ("--shift", "-2"),
+                fraction=x, collapsed=e.specialize(zero_asg),
+            )
     # trivial-group presentations match the non-equivariant shape
     group = parse_group("1")
     flag = Flag.cyclic(group, 4)
@@ -380,32 +350,16 @@ def check_periodicity(cfg: SweepConfig):
                 lifted = dict(a.denom)
                 lifted[alpha] = lifted.get(alpha, 0) + 1
                 y = LocFraction(a.num, lifted, mode)
-                yield None if frac_eq(theta_mul(flag, alpha, y), a) else {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "mode": mode,
-                    "alpha": str(alpha),
-                    "fraction": str(a),
-                    "argv": _eval_argv(
-                        gspec,
-                        flag,
-                        f"theta[{alpha}] * ({y}) == ({a})",
-                        shift=shift,
-                        theory=mode,
-                    ),
-                }
+                yield None if frac_eq(theta_mul(flag, alpha, y), a) else _cx(
+                    gspec, flag, f"theta[{alpha}] * ({y}) == ({a})",
+                    ("--shift", str(shift), "--theory", mode), mode=mode, alpha=alpha, fraction=a,
+                )
                 # injectivity on sampled polynomials
                 x = _random_numerator(rng, flag, shift, rng.randint(0, cfg.max_dimension))
-                yield None if theta_mul(flag, alpha, x).is_zero == x.is_zero else {
-                    "group": gspec,
-                    "flag": str(flag),
-                    "mode": mode,
-                    "alpha": str(alpha),
-                    "input": str(x),
-                    "argv": _eval_argv(
-                        gspec, flag, f"theta[{alpha}] * ({x}) == 0", shift=shift
-                    ),
-                }
+                yield None if theta_mul(flag, alpha, x).is_zero == x.is_zero else _cx(
+                    gspec, flag, f"theta[{alpha}] * ({x}) == 0", ("--shift", str(shift)),
+                    mode=mode, alpha=alpha, input=x,
+                )
 
 
 def _mutated_aug(flag: Flag, alpha, i: int) -> CoeffPoly:
@@ -459,7 +413,8 @@ def default_config() -> SweepConfig:
 
 
 def load_config(path: str) -> SweepConfig:
-    """Flat key = value file mirroring SweepConfig; '#' starts a comment."""
+    """Flat key = value file mirroring SweepConfig; '#' starts a comment and
+    each key may be given once."""
     values: dict = {}
     int_keys = {f.name for f in fields(SweepConfig)} - {"groups"}
     with open(path, encoding="utf-8") as fh:
@@ -472,6 +427,8 @@ def load_config(path: str) -> SweepConfig:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in values:
+                raise SpecParseError(f"{path}:{lineno}: duplicate key {key!r}")
             if key == "groups":
                 groups = tuple(g.strip() for g in val.split(",") if g.strip())
                 for g in groups:

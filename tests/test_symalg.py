@@ -268,6 +268,60 @@ def test_presentation_preconditions():
         presentation("XX", F2)
 
 
+SHIFT_ERRORS = {
+    "MUP": "presentations use shift -2 or +2",
+    "MU": "presentations use shift -2 or +2",
+    "mUP": "the connective periodic presentation has shift +2",
+    "mU": "the connective presentation has shift +2",
+}
+
+# (theory, shift) -> (shift, family) of the presentation, or None when the
+# shift is refused with the theory's SHIFT_ERRORS message
+PRESENTATION_SHIFTS = {
+    ("MUP", None): (-2, None), ("MUP", -2): (-2, None), ("MUP", 0): None, ("MUP", 2): (2, None),
+    ("mUP", None): (2, None), ("mUP", -2): None, ("mUP", 0): None, ("mUP", 2): (2, None),
+    ("MU", None): (-2, "b"), ("MU", -2): (-2, "b"), ("MU", 0): None, ("MU", 2): (2, "c"),
+    ("mU", None): (2, "c"), ("mU", -2): None, ("mU", 0): None, ("mU", 2): (2, "c"),
+}
+
+
+@pytest.mark.parametrize("theory, shift", list(PRESENTATION_SHIFTS))
+def test_presentation_shift_rules(theory, shift):
+    want = PRESENTATION_SHIFTS[theory, shift]
+    if want is None:
+        with pytest.raises(PreconditionError) as excinfo:
+            presentation(theory, F2, shift)
+        assert str(excinfo.value) == SHIFT_ERRORS[theory]
+    else:
+        pres = presentation(theory, F2, shift)
+        assert (pres["shift"], pres["family"]) == want
+
+
+def test_presentation_unknown_theory_message():
+    with pytest.raises(PreconditionError) as excinfo:
+        presentation("XX", F2, 0)
+    assert str(excinfo.value) == "unknown theory 'XX'"
+
+
+@pytest.mark.parametrize("theory", ["MUP", "mUP", "MU", "mU"])
+def test_presentation_incomplete_flag_message(theory):
+    flag = parse_flag(Z2, "(0),(0)")
+    if theory in ("mUP", "mU"):
+        # only the trivial class is inverted, so any flag will do
+        assert presentation(theory, flag)["flag"] == ["(0)", "(0)"]
+        return
+    with pytest.raises(PreconditionError) as excinfo:
+        presentation(theory, flag)
+    assert str(excinfo.value) == (
+        "flag truncation is missing character (1); every "
+        "coaugmentation class must be invertible for this theory"
+    )
+    # a refused shift is reported before the missing character
+    with pytest.raises(PreconditionError) as excinfo:
+        presentation(theory, flag, 0)
+    assert str(excinfo.value) == SHIFT_ERRORS[theory]
+
+
 def test_fraction_rendering():
     a = LocFraction(b1(), {SIG: 1})
     assert str(a) == "beta[1] / theta[(1)]"

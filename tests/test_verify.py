@@ -128,6 +128,32 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_rejects_a_repeated_key(tmp_path, capsys):
+    from equibord.cli import main
+
+    p = tmp_path / "twice.cfg"
+    p.write_text("max_flag_len = 2\n# again\nmax_flag_len = 3\n")
+    with pytest.raises(SpecParseError) as excinfo:
+        load_config(str(p))
+    assert str(excinfo.value) == f"{p}:3: duplicate key 'max_flag_len'"
+    assert main(["verify", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}:3: duplicate key 'max_flag_len'\n"
+
+
+def test_duality_cases_per_group_at_default_config(monkeypatch):
+    # the sweep is exhaustive, so its per-group case counts depend only on
+    # the flag enumeration; stubbing both routes keeps this test cheap
+    monkeypatch.setattr(verify, "coaug", lambda flag, alpha: 0)
+    monkeypatch.setattr(verify, "coaug_via_duality", lambda flag, alpha, augmentation: 0)
+    cfg = default_config()
+    counts = [
+        sum(1 for _ in verify._duality_cases((g,), cfg.max_flag_len, aug)) for g in cfg.groups
+    ]
+    # a complete flag is no shorter than the group order, so the four
+    # groups of order 7 and 8 yield no case at max_flag_len 6
+    assert counts == [6, 114, 732, 1824, 1824, 1920, 720, 720, 0, 0, 0, 0]
+
+
 def test_check_budgets_small_config():
     for check in (
         check_coaug_duality,
