@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -17,7 +18,7 @@ import sys
 from .errors import PreconditionError, SpecParseError
 from .exprs import GRAMMAR_DOC, ExprContext, as_fraction, describe_value, eval_expression
 from .flags import Flag, aug, coaug, parse_flag
-from .groups import parse_character, parse_group
+from .groups import parse_character, parse_group, spec_lines
 from .render import shown, shown_json
 from .symalg import THEORIES, presentation, to_b_generators, to_c_generators
 from .verify import default_config, load_config, run_suite
@@ -26,54 +27,44 @@ _ASSIGN_RE = re.compile(r"^e\[(?P<char>[^\]]*)\]$")
 
 
 def _resolve_context(args):
+    """The group, the flag and the --specialize assignment (or None) of a
+    request."""
     group = parse_group(args.group)
-    if args.flag and args.truncate is not None:
+    if args.flag is not None and args.truncate is not None:
         raise SpecParseError("pass either --flag or --truncate, not both")
-    if args.flag:
+    if args.flag is not None:
         flag = parse_flag(group, args.flag)
     else:
         n = args.truncate if args.truncate is not None else group.order
         if n < 1:
             raise SpecParseError("--truncate must be at least 1")
         flag = Flag.cyclic(group, n)
-    return group, flag
+    asg = _load_assignment(args.specialize, flag) if args.specialize else None
+    return group, flag, asg
+
+
+def _expr_context(args, flag: Flag) -> ExprContext:
+    """The evaluation context of --theory and --shift (default: by theory)."""
+    default_shift, mode = THEORIES[args.theory]
+    return ExprContext(flag, default_shift if args.shift is None else args.shift, mode)
 
 
 def _load_assignment(path: str, flag: Flag) -> dict:
     """Assignment file: lines "e[(r1,...)] = <coefficient expression>"."""
     ctx = ExprContext(flag, -2, "MUP")
     asg: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise SpecParseError(f"cannot read assignment file: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, sep, rhs = line.partition("=")
-        if not sep:
-            raise SpecParseError(f"{path}:{lineno}: expected 'e[(...)] = value'")
-        m = _ASSIGN_RE.match(lhs.strip())
+    for where, lhs, rhs in spec_lines(path, "assignment", "e[(...)] = value"):
+        m = _ASSIGN_RE.match(lhs)
         if not m:
-            raise SpecParseError(f"{path}:{lineno}: left side must be an Euler symbol e[(...)]")
+            raise SpecParseError(f"{where}: left side must be an Euler symbol e[(...)]")
         gamma = parse_character(flag.group, m.group("char"))
         if gamma.is_trivial:
-            raise SpecParseError(f"{path}:{lineno}: the trivial character has no Euler symbol")
-        outcome = eval_expression(rhs.strip(), ctx)
+            raise SpecParseError(f"{where}: the trivial character has no Euler symbol")
+        outcome = eval_expression(rhs, ctx)
         if outcome["kind"] != "value" or outcome["value"].kind != "coeff":
-            raise SpecParseError(
-                f"{path}:{lineno}: the assigned value must be a coefficient polynomial"
-            )
+            raise SpecParseError(f"{where}: the assigned value must be a coefficient polynomial")
         asg[gamma] = outcome["value"].payload
     return asg
-
-
-def _maybe_assignment(args, flag: Flag) -> dict | None:
-    if getattr(args, "specialize", None):
-        return _load_assignment(args.specialize, flag)
-    return None
 
 
 def _emit(args, doc: dict, text_lines: list) -> int:
@@ -102,8 +93,7 @@ def _coaug_section(flag, chars, asg) -> tuple:
 
 
 def cmd_theta_table(args) -> int:
-    group, flag = _resolve_context(args)
-    asg = _maybe_assignment(args, flag)
+    group, flag, asg = _resolve_context(args)
     n = flag.length
     chars = group.characters()
     rows = [(al, [aug(flag, al, i) for i in range(n + 1)]) for al in chars]
@@ -129,8 +119,7 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_thetas(args) -> int:
-    group, flag = _resolve_context(args)
-    asg = _maybe_assignment(args, flag)
+    group, flag, asg = _resolve_context(args)
     coaug_lines, coaug_entries = _coaug_section(flag, group.characters(), asg)
     doc = {
         "schema": "equibord/thetas/v1",
@@ -143,8 +132,7 @@ def cmd_thetas(args) -> int:
 
 
 def cmd_present(args) -> int:
-    group, flag = _resolve_context(args)
-    asg = _maybe_assignment(args, flag)
+    group, flag, asg = _resolve_context(args)
     pres = presentation(args.theory, flag, args.shift, assignment=asg)
     lines = [
         f"theory: {pres['theory']}",
@@ -167,25 +155,22 @@ def cmd_present(args) -> int:
 
 
 def cmd_rewrite(args) -> int:
-    group, flag = _resolve_context(args)
-    default_shift, mode = THEORIES[args.theory]
-    shift = default_shift if args.shift is None else args.shift
-    if args.theory == "mU" and shift != 2:
+    group, flag, asg = _resolve_context(args)
+    ctx = _expr_context(args, flag)
+    if args.theory == "mU" and ctx.shift != 2:
         raise SpecParseError("theory mU fixes shift +2")
-    asg = _maybe_assignment(args, flag)
-    ctx = ExprContext(flag, shift, mode)
     outcome = eval_expression(args.expr, ctx)
     if outcome["kind"] != "value":
         raise SpecParseError("rewrite expects a fraction, not a comparison")
     frac = as_fraction(outcome["value"], ctx)
-    result = to_b_generators(frac) if shift == -2 else to_c_generators(frac)
+    result = to_b_generators(frac) if ctx.shift == -2 else to_c_generators(frac)
     lines = [str(result)]
     doc = {
         "schema": "equibord/rewrite/v1",
         "theory": args.theory,
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
-        "shift": shift,
+        "shift": ctx.shift,
         "input": args.expr,
         "result": {"text": str(result), **result.to_json()},
     }
@@ -197,33 +182,27 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    group, flag = _resolve_context(args)
-    asg = _maybe_assignment(args, flag)
-    default_shift, mode = THEORIES[args.theory]
-    shift = default_shift if args.shift is None else args.shift
-    ctx = ExprContext(flag, shift, mode)
+    group, flag, asg = _resolve_context(args)
+    ctx = _expr_context(args, flag)
     outcome = eval_expression(args.expr, ctx)
     doc = {
         "schema": "equibord/eval/v1",
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
-        "shift": shift,
-        "mode": mode,
+        "shift": ctx.shift,
+        "mode": ctx.mode,
         "kind": outcome["kind"],
         "expr": args.expr,
     }
     if outcome["kind"] == "comparison":
-        lhs = describe_value(outcome["lhs"], asg)
-        rhs = describe_value(outcome["rhs"], asg)
-        verdict = "equal" if outcome["equal"] else "not equal"
-        lines = [f"lhs: {lhs['text']}"]
-        if "specialized_text" in lhs:
-            lines.append(f"lhs specialized: {lhs['specialized_text']}")
-        lines.append(f"rhs: {rhs['text']}")
-        if "specialized_text" in rhs:
-            lines.append(f"rhs specialized: {rhs['specialized_text']}")
-        lines.append(f"verdict: {verdict}")
-        doc.update({"lhs": lhs, "rhs": rhs, "equal": outcome["equal"]})
+        lines = []
+        for side in ("lhs", "rhs"):
+            desc = doc[side] = describe_value(outcome[side], asg)
+            lines.append(f"{side}: {desc['text']}")
+            if "specialized_text" in desc:
+                lines.append(f"{side} specialized: {desc['specialized_text']}")
+        lines.append(f"verdict: {'equal' if outcome['equal'] else 'not equal'}")
+        doc["equal"] = outcome["equal"]
     else:
         val = describe_value(outcome["value"], asg)
         lines = [f"kind: {val['kind']}", f"value: {val['text']}"]
@@ -251,8 +230,7 @@ def cmd_verify(args) -> int:
     return 0 if report.status == "pass" else 1
 
 
-def cmd_man(args) -> int:
-    parser, subparsers = build_parser(return_subparsers=True)
+def cmd_man(subparsers, args) -> int:
     lines = [
         "EQUIBORD(1)",
         "",
@@ -313,7 +291,7 @@ def _add_context_args(p):
     )
 
 
-def build_parser(return_subparsers: bool = False):
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="equibord",
         description="Exact graded-ring engine over character flags.",
@@ -367,10 +345,7 @@ def build_parser(return_subparsers: bool = False):
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("man", description="Print the generated manual page.")
-    p.set_defaults(func=cmd_man)
-
-    if return_subparsers:
-        return parser, sub
+    p.set_defaults(func=functools.partial(cmd_man, sub))
     return parser
 
 

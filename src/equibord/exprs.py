@@ -202,9 +202,11 @@ class _Parser:
     def _expect_end(self):
         kind, val, at = self.tokens[self.pos]
         if kind != "end":
-            raise SpecParseError(
-                f"unexpected {val!r} at position {at} in {self.text!r}"
-            )
+            raise self._unexpected(kind, val, at)
+
+    def _unexpected(self, kind, val, at) -> SpecParseError:
+        what = "end of expression" if kind == "end" else repr(val)
+        return SpecParseError(f"unexpected {what} at position {at} in {self.text!r}")
 
     def _compare(self, a: _Val, b: _Val) -> bool:
         ctx = self.ctx
@@ -268,9 +270,7 @@ class _Parser:
             self.depth -= 1
             return inner
         if kind != "atom":
-            raise SpecParseError(
-                f"unexpected {val!r} at position {at} in {self.text!r}"
-            )
+            raise self._unexpected(kind, val, at)
         name, payload = val
         if name in ("beta", "b", "c"):
             if not payload.isdigit():

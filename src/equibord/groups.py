@@ -244,3 +244,23 @@ def parse_representation(group: AbelianGroup, text: str) -> Representation:
     if s in ("", "0"):
         return Representation(group, ())
     return Representation(group, tuple(parse_character(group, p) for p in s.split("+")))
+
+
+def spec_lines(path: str, what: str, form: str):
+    """Yield ("path:lineno", key, value) for each line of a "key = value"
+    file; '#' starts a comment and blank lines are skipped.  what names the
+    file in the read error and form is the line shape a line without '='
+    is told to take."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"cannot read {what} file: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise SpecParseError(f"{path}:{lineno}: expected '{form}'")
+        yield f"{path}:{lineno}", key.strip(), value.strip()

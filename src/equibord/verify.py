@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .coeff import CoeffPoly, euler_class
 from .errors import SpecParseError
 from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
-from .groups import parse_group
+from .groups import parse_group, spec_lines
 from .sparse import mono
 from .symalg import (
     BExpr,
@@ -417,28 +417,19 @@ def load_config(path: str) -> SweepConfig:
     each key may be given once."""
     values: dict = {}
     int_keys = {f.name for f in fields(SweepConfig)} - {"groups"}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key in values:
-                raise SpecParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            if key == "groups":
-                groups = tuple(g.strip() for g in val.split(",") if g.strip())
-                for g in groups:
-                    parse_group(g)
-                values["groups"] = groups
-            elif key in int_keys:
-                try:
-                    values[key] = int(val)
-                except ValueError:
-                    raise SpecParseError(f"{path}:{lineno}: {key} needs an integer") from None
-            else:
-                raise SpecParseError(f"{path}:{lineno}: unknown key {key!r}")
+    for where, key, val in spec_lines(path, "config", "key = value"):
+        if key in values:
+            raise SpecParseError(f"{where}: duplicate key {key!r}")
+        if key == "groups":
+            groups = tuple(g.strip() for g in val.split(",") if g.strip())
+            for g in groups:
+                parse_group(g)
+            values["groups"] = groups
+        elif key in int_keys:
+            try:
+                values[key] = int(val)
+            except ValueError:
+                raise SpecParseError(f"{where}: {key} needs an integer") from None
+        else:
+            raise SpecParseError(f"{where}: unknown key {key!r}")
     return SweepConfig(**values)

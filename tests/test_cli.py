@@ -67,6 +67,13 @@ def test_flag_and_truncate_conflict(capsys):
     assert "not both" in err
 
 
+def test_empty_flag_is_not_the_default_flag(capsys):
+    rc, out, err = run(capsys, "thetas", "--group", "Z2", "--flag", "")
+    assert (rc, out, err) == (2, "", "error: empty flag\n")
+    rc, out, err = run(capsys, "thetas", "--group", "Z2", "--flag", "", "--truncate", "3")
+    assert (rc, out, err) == (2, "", "error: pass either --flag or --truncate, not both\n")
+
+
 def test_present_text_and_json(capsys):
     rc, out, _ = run(capsys, "present", "--theory", "mU", "--group", "1", "--truncate", "4")
     assert rc == 0
@@ -185,6 +192,16 @@ def test_eval_exit_codes(capsys):
     assert "nest" in err
 
 
+def test_end_of_expression_is_named(capsys):
+    for expr, at in (("beta[1] +", 9), ("", 0)):
+        rc, out, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
+        assert (rc, out) == (2, "")
+        assert err == f"error: unexpected end of expression at position {at} in {expr!r}\n"
+    # other unexpected tokens keep their repr
+    rc, _, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", "beta[1])")
+    assert (rc, err) == (2, "error: unexpected ')' at position 7 in 'beta[1])'\n")
+
+
 def test_connective_generator_division_is_refused(capsys):
     for theory in ("mU", "mUP"):
         for expr in ("c[1]/ctheta[(1)]", "c[1]/ctheta[(1)] == c[1]"):
@@ -257,6 +274,22 @@ def test_specialize_diagnostics(capsys, tmp_path):
     assert rc == 2
 
 
+def test_unreadable_input_files_exit_2(capsys, tmp_path):
+    bad_utf8 = tmp_path / "latin1.txt"
+    bad_utf8.write_bytes(b"\xffgroups = Z2\n")
+    cases = [
+        (("verify", "--config", str(tmp_path / "missing.cfg")), "config"),
+        (("verify", "--config", str(tmp_path)), "config"),
+        (("verify", "--config", str(bad_utf8)), "config"),
+        (("thetas", "--group", "Z2", "--truncate", "2", "--specialize", str(bad_utf8)), "assignment"),
+    ]
+    for argv, what in cases:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot read {what} file: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_verify_text_and_json(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("groups = Z2, Z3\nmax_flag_len = 3\nrandom_cases = 4\nmax_dimension = 2\n")
@@ -315,3 +348,11 @@ def test_man_tracks_parser_options(capsys):
     _, out, _ = run(capsys, "man")
     assert "--specialize FILE" in out
     assert "--seed SEED" in out
+
+
+def test_man_matches_golden(capsys):
+    # the whole page byte for byte: any change to a parser option or to the
+    # grammar doc shows here
+    rc, out, err = run(capsys, "man")
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / "man.txt").read_text()
