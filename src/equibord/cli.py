@@ -39,7 +39,7 @@ def _resolve_context(args):
         if n < 1:
             raise SpecParseError("--truncate must be at least 1")
         flag = Flag.cyclic(group, n)
-    asg = _load_assignment(args.specialize, flag) if args.specialize else None
+    asg = _load_assignment(args.specialize, flag) if args.specialize is not None else None
     return group, flag, asg
 
 
@@ -213,7 +213,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     report = run_suite(cfg)
