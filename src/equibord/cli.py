@@ -44,9 +44,13 @@ def _resolve_context(args):
 
 
 def _expr_context(args, flag: Flag) -> ExprContext:
-    """The evaluation context of --theory and --shift (default: by theory)."""
-    default_shift, mode = THEORIES[args.theory]
-    return ExprContext(flag, default_shift if args.shift is None else args.shift, mode)
+    """The evaluation context of --theory and --shift (default: by theory);
+    a shift the theory does not take is an argument error."""
+    shifts, mode = THEORIES[args.theory]
+    shift = shifts[0] if args.shift is None else args.shift
+    if shift not in shifts:
+        raise SpecParseError(f"theory {args.theory} fixes shift {shifts[0]:+d}")
+    return ExprContext(flag, shift, mode)
 
 
 def _load_assignment(path: str, flag: Flag) -> dict:
@@ -133,7 +137,7 @@ def cmd_thetas(args) -> int:
 
 def cmd_present(args) -> int:
     group, flag, asg = _resolve_context(args)
-    pres = presentation(args.theory, flag, args.shift, assignment=asg)
+    pres = presentation(args.theory, flag, _expr_context(args, flag).shift, assignment=asg)
     lines = [
         f"theory: {pres['theory']}",
         f"group: {pres['group']}",
@@ -157,8 +161,6 @@ def cmd_present(args) -> int:
 def cmd_rewrite(args) -> int:
     group, flag, asg = _resolve_context(args)
     ctx = _expr_context(args, flag)
-    if args.theory == "mU" and ctx.shift != 2:
-        raise SpecParseError("theory mU fixes shift +2")
     outcome = eval_expression(args.expr, ctx)
     if outcome["kind"] != "value":
         raise SpecParseError("rewrite expects a fraction, not a comparison")

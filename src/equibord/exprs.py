@@ -49,7 +49,7 @@ GRAMMAR_DOC = __doc__
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
+    r"\s*("
     r"(?P<atom>btheta|ctheta|beta|theta|e|b|c)\[(?P<payload>[^\]]*)\]"
     r"|(?P<int>\d+)"
     r"|(?P<op>==|\^|[-+*/()])"
@@ -64,8 +64,8 @@ class ExprContext:
     mode: str = "MUP"
 
     @property
-    def family(self) -> str:
-        return "b" if self.shift == -2 else "c"
+    def family(self) -> str | None:
+        return {-2: "b", 2: "c"}.get(self.shift)
 
 
 _KINDS = {CoeffPoly: "coeff", SymPoly: "sym", LocFraction: "frac", BExpr: "gen"}
@@ -103,11 +103,11 @@ def _tokenize(text: str) -> list:
                 break
             raise SpecParseError(f"cannot read expression at {rest[:20]!r}")
         if m.group("atom") is not None:
-            tokens.append(("atom", (m.group("atom"), m.group("payload")), m.start()))
+            tokens.append(("atom", (m.group("atom"), m.group("payload")), m.start(1)))
         elif m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start()))
+            tokens.append(("int", int(m.group("int")), m.start(1)))
         else:
-            tokens.append(("op", m.group("op"), m.start()))
+            tokens.append(("op", m.group("op"), m.start(1)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens

@@ -724,11 +724,19 @@ def mup_normal_form(a: LocFraction) -> BExpr:
     return out
 
 
-# theory -> (default shift, localization mode).  MUP/mUP are the localized
-# symmetric algebras on beta_0..beta_N, MU/mU their degree-zero subrings on
-# the b- or c-generators; mode MUP inverts every coaugmentation class and
-# mode mUP only the trivial one.
-THEORIES = {"MUP": (-2, "MUP"), "mUP": (2, "mUP"), "MU": (-2, "MUP"), "mU": (2, "mUP")}
+def invertible_characters(flag: Flag, mode: str) -> list:
+    """The characters whose coaugmentation classes the mode inverts, in
+    order of first occurrence in the flag (the trivial one first)."""
+    if mode == "mUP":
+        return [flag.group.identity]
+    return list(dict.fromkeys(flag.chars))
+
+
+# theory -> (the shifts it takes, default first; localization mode).
+# MUP/mUP are the localized symmetric algebras on beta_0..beta_N, MU/mU
+# their degree-zero subrings on the b- or c-generators; the connective
+# theories mUP/mU live in the shift +2 ring only.
+THEORIES = {"MUP": ((-2, 2), "MUP"), "mUP": ((2,), "mUP"), "MU": ((-2, 2), "MUP"), "mU": ((2,), "mUP")}
 
 
 def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: dict | None = None) -> dict:
@@ -740,25 +748,22 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
     """
     if theory not in THEORIES:
         raise PreconditionError(f"unknown theory {theory!r}")
-    default_shift, mode = THEORIES[theory]
+    shifts, mode = THEORIES[theory]
     periodic = theory.endswith("P")
-    d = default_shift if shift is None else shift
+    d = shifts[0] if shift is None else shift
     group = flag.group
-    if mode == "MUP":
-        if d not in (-2, 2):
-            raise PreconditionError("presentations use shift -2 or +2")
-        missing = [c for c in group.characters() if flag.first_index(c) is None]
-        if missing:
-            raise PreconditionError(
-                f"flag truncation is missing character {missing[0]}; every "
-                "coaugmentation class must be invertible for this theory"
-            )
-        inverts = group.characters()
-    else:
-        if d != 2:
-            what = "periodic presentation" if periodic else "presentation"
-            raise PreconditionError(f"the connective {what} has shift +2")
-        inverts = [group.identity]
+    if d not in shifts:
+        if mode == "MUP":
+            raise PreconditionError("presentations use shift " + " or ".join(f"{s:+d}" for s in shifts))
+        what = "periodic presentation" if periodic else "presentation"
+        raise PreconditionError(f"the connective {what} has shift {shifts[0]:+d}")
+    if mode == "MUP" and not flag.is_complete:
+        missing = next(c for c in group.characters() if flag.first_index(c) is None)
+        raise PreconditionError(
+            f"flag truncation is missing character {missing}; every "
+            "coaugmentation class must be invertible for this theory"
+        )
+    inverts = sorted(invertible_characters(flag, mode))
     if periodic:
         family = None
         gens = [{"symbol": f"beta[{i}]", "degree": 2 * i - d} for i in range(flag.length + 1)]

@@ -30,6 +30,7 @@ from .symalg import (
     btheta_expansion,
     expand_b,
     frac_eq,
+    invertible_characters,
     lift_to_common,
     presentation,
     retract,
@@ -207,16 +208,8 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
             return x
 
 
-def _invertible_chars(flag: Flag, mode: str) -> list:
-    """The characters whose coaugmentation classes the mode inverts, in
-    order of first occurrence in the flag (the trivial one first)."""
-    if mode == "mUP":
-        return [flag.group.identity]
-    return list(dict.fromkeys(flag.chars))
-
-
 def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:
-    alphas = _invertible_chars(flag, mode)
+    alphas = invertible_characters(flag, mode)
     return Counter(rng.choice(alphas) for _ in range(total))
 
 
@@ -339,7 +332,7 @@ def check_periodicity(cfg: SweepConfig):
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_flag_len)
         for mode, shift in (("MUP", -2), ("mUP", 2)):
-            alphas = _invertible_chars(flag, mode)
+            alphas = invertible_characters(flag, mode)
             for _ in range(cfg.random_cases):
                 total = rng.randint(0, cfg.max_dimension)
                 extra = rng.randint(0, 2)

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 from equibord.cli import main
 
@@ -197,9 +198,36 @@ def test_end_of_expression_is_named(capsys):
         rc, out, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
         assert (rc, out) == (2, "")
         assert err == f"error: unexpected end of expression at position {at} in {expr!r}\n"
-    # other unexpected tokens keep their repr
-    rc, _, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", "beta[1])")
-    assert (rc, err) == (2, "error: unexpected ')' at position 7 in 'beta[1])'\n")
+    # other unexpected tokens keep their repr, at the position of the token
+    # itself, not of the whitespace before it
+    for expr, token, at in (("beta[1])", "')'", 7), ("1 2", "2", 2), ("1 beta[1]", "('beta', '1')", 2)):
+        rc, _, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
+        assert (rc, err) == (2, f"error: unexpected {token} at position {at} in {expr!r}\n")
+
+
+# (command, theory, --shift) -> exit code on --group Z2 --truncate 2; the
+# connective theories take shift +2 only, and every command refuses -2 alike
+THEORY_SHIFT_EXITS = {
+    (cmd, theory, shift): 2 if theory in ("mUP", "mU") and shift == "-2" else 0
+    for cmd, theories in (("present", ("MUP", "mUP", "MU", "mU")),
+                          ("eval", ("MUP", "mUP", "MU", "mU")),
+                          ("rewrite", ("MU", "mU")))
+    for theory in theories
+    for shift in (None, "-2", "2")
+}
+THEORY_SHIFT_EXPRS = {"present": (), "eval": ("--expr", "beta[1]"),
+                      "rewrite": ("--expr", "beta[1]/theta[(0)]")}
+
+
+@pytest.mark.parametrize("cmd, theory, shift", list(THEORY_SHIFT_EXITS))
+def test_theory_shift_rules(capsys, cmd, theory, shift):
+    argv = [cmd, "--group", "Z2", "--truncate", "2", "--theory", theory, *THEORY_SHIFT_EXPRS[cmd]]
+    rc, out, err = run(capsys, *argv, *(("--shift", shift) if shift else ()))
+    assert rc == THEORY_SHIFT_EXITS[cmd, theory, shift], err
+    if rc:
+        assert (out, err) == ("", f"error: theory {theory} fixes shift +2\n")
+    else:
+        assert out and not err
 
 
 def test_connective_generator_division_is_refused(capsys):

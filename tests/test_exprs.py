@@ -73,6 +73,16 @@ def test_family_shift_mismatch():
         eval_expression("b[1]", ExprContext(F2, 2, "MUP"))
     with pytest.raises(PreconditionError):
         eval_expression("ctheta[(1)]", CTX)
+    # neither family lives in the shift 0 ring, whose flag side still evaluates
+    zero = ExprContext(F2, 0, "MUP")
+    for text, family, home in (("c[1] + 1", "c", 2), ("b[1]", "b", -2), ("ctheta[(1)]", "c", 2)):
+        with pytest.raises(PreconditionError) as excinfo:
+            eval_expression(text, zero)
+        assert str(excinfo.value) == (
+            f"{family}-generators live in the shift {home} ring, but this context "
+            "has shift 0 (pick the other --shift or --theory)"
+        )
+    assert val("beta[1] + 1", zero).kind == "sym"
 
 
 def test_no_mixing_sides():
