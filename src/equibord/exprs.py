@@ -273,7 +273,7 @@ class _Parser:
             raise self._unexpected(kind, val, at)
         name, payload = val
         if name in ("beta", "b", "c"):
-            if not payload.isdigit():
+            if not payload.isdecimal():
                 raise SpecParseError(
                     f"{name}[{payload}]: the index must be a nonnegative integer"
                 )

@@ -61,6 +61,17 @@ class Flag:
                 return i
         return None
 
+    def occurrence(self, alpha: Character) -> int:
+        """1-based index of the first occurrence of alpha, which must belong
+        to the flag's group and occur in the truncation: the one rule for
+        where the coaugmentation class of alpha is defined."""
+        if alpha.group != self.group:
+            raise MismatchError("character of a different group")
+        j = self.first_index(alpha)
+        if j is None:
+            raise PreconditionError(f"character {alpha} does not occur in the flag truncation")
+        return j
+
     @property
     def is_complete(self) -> bool:
         """Whether every character of the group occurs in the truncation."""
@@ -206,8 +217,6 @@ def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
     class of the alpha^{-1}-twisted stage.  The 0-th value is always one."""
     if alpha.group != flag.group:
         raise MismatchError("character of a different group")
-    if not 0 <= i <= flag.length:
-        raise PreconditionError(f"stage index {i} out of range 0..{flag.length}")
     if i == 0:
         return CoeffPoly.one(flag.group)
     return euler_class(flag.rep(i).tensor(alpha.inverse()))
@@ -220,13 +229,7 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     Defined only when alpha occurs in the truncated flag, which is exactly
     when the expansion is finite.
     """
-    if alpha.group != flag.group:
-        raise MismatchError("character of a different group")
-    j = flag.first_index(alpha)
-    if j is None:
-        raise PreconditionError(
-            f"character {alpha} does not occur in the flag truncation"
-        )
+    j = flag.occurrence(alpha)
     group = flag.group
     inv = alpha.inverse().residues
     orders = group.cyclic_orders
@@ -253,11 +256,6 @@ def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjCla
     Independent route from coaug; augmentation is injectable so the two
     routes can be driven apart deliberately in sensitivity checks.
     """
-    if alpha.group != flag.group:
-        raise MismatchError("character of a different group")
-    if flag.first_index(alpha) is None:
-        raise PreconditionError(
-            f"character {alpha} does not occur in the flag truncation"
-        )
+    flag.occurrence(alpha)
     coeffs = {i: augmentation(flag, alpha, i) for i in range(flag.length + 1)}
     return ProjClass(flag, coeffs)

@@ -203,7 +203,7 @@ def parse_group(text: str) -> AbelianGroup:
     orders = []
     for part in s.split("x"):
         part = part.strip()
-        if not part.startswith("Z") or not part[1:].isdigit():
+        if not part.startswith("Z") or not part[1:].isdecimal():
             raise SpecParseError(f"bad cyclic factor {part!r} in group {text!r}")
         n = int(part[1:])
         if n < 1:
@@ -229,7 +229,7 @@ def parse_character(group: AbelianGroup, text: str) -> Character:
         )
     residues = []
     for p, n in zip(parts, group.cyclic_orders):
-        if not p.lstrip("-").isdigit():
+        if not p.removeprefix("-").isdecimal():
             raise SpecParseError(f"bad residue {p!r} in character {text!r}")
         r = int(p)
         if not 0 <= r < n:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .coeff import CoeffPoly, specializer
 from .errors import MismatchError, PreconditionError
-from .flags import Flag, ProjClass, aug, coaug
+from .flags import Flag, coaug
 from .groups import Character, format_residues
 from .render import flat_terms, format_power, join_signed, shown, signed_product
 from .sparse import (
@@ -105,13 +105,8 @@ class SymPoly(RingOps):
         return cls.const(flag, shift, 1)
 
     @classmethod
-    def var(cls, flag: Flag, shift: int, i: int, k: int = 1) -> "SymPoly":
-        return cls(flag, shift, {((i, k),): CoeffPoly.one(flag.group)})
-
-    @classmethod
-    def from_proj(cls, x: ProjClass, shift: int) -> "SymPoly":
-        """Embed a flag-module class as a dimension-degree-1 element."""
-        return cls(x.flag, shift, {((i, 1),): c for i, c in x.coeffs.items()})
+    def var(cls, flag: Flag, shift: int, i: int) -> "SymPoly":
+        return cls(flag, shift, {((i, 1),): CoeffPoly.one(flag.group)})
 
     @property
     def is_zero(self) -> bool:
@@ -223,8 +218,9 @@ class SymPoly(RingOps):
 
 @lru_cache(maxsize=None)
 def theta_sym(flag: Flag, shift: int, alpha: Character) -> SymPoly:
-    """The coaugmentation class of alpha embedded as a dimension-degree-1 element."""
-    return SymPoly.from_proj(coaug(flag, alpha), shift)
+    """The coaugmentation class of alpha embedded as a dimension-degree-1
+    element: the basis vector beta_i becomes the variable beta_i."""
+    return SymPoly(flag, shift, {((i, 1),): c for i, c in coaug(flag, alpha).coeffs.items()})
 
 
 def theta_mul(flag: Flag, alpha: Character, x):
@@ -275,7 +271,7 @@ class _Quotient(RingOps):
     numerator ring), _admit (whether a denominator character is stored, or
     raise when it may not be inverted), and the names its text uses: _name
     for the numerator variables, _theta_name for the inverted classes, and
-    _noun and _class_noun in errors.
+    _noun in errors.
     """
 
     __slots__ = ()
@@ -305,11 +301,7 @@ class _Quotient(RingOps):
                 raise PreconditionError("negative denominator exponent")
             if not k or not self._admit(al):
                 continue
-            if flag.first_index(al) is None:
-                raise PreconditionError(
-                    f"character {al} does not occur in the flag truncation; "
-                    f"its {self._class_noun} is not available"
-                )
+            flag.occurrence(al)
             clean[al] = k
         return clean
 
@@ -402,7 +394,6 @@ class LocFraction(_Quotient):
     __slots__ = ("num", "denom", "mode")
 
     _noun = "fraction"
-    _class_noun = "coaugmentation class"
     _name = "beta"
     _theta_name = "theta"
 
@@ -521,7 +512,6 @@ class BExpr(_Quotient):
     __slots__ = ("num", "family", "denom")
 
     _noun = "generator expression"
-    _class_noun = "inverted class"
 
     def __init__(self, flag: Flag, family: str, terms: dict | None = None, denom: dict | None = None):
         if family not in ("b", "c"):
@@ -575,8 +565,8 @@ class BExpr(_Quotient):
         return cls.const(flag, family, 1)
 
     @classmethod
-    def generator(cls, flag: Flag, family: str, i: int, k: int = 1) -> "BExpr":
-        return cls(flag, family, {((i, k),): CoeffPoly.one(flag.group)}, {})
+    def generator(cls, flag: Flag, family: str, i: int) -> "BExpr":
+        return cls(flag, family, {((i, 1),): CoeffPoly.one(flag.group)}, {})
 
     def _ctx(self, other: "BExpr"):
         if self.flag != other.flag:
@@ -635,20 +625,14 @@ class BExpr(_Quotient):
 
 @lru_cache(maxsize=None)
 def btheta_expansion(flag: Flag, family: str, alpha: Character) -> BExpr:
-    """The inverted class in generator coordinates: 1 + sum aug(alpha, i) * b_i.
+    """The inverted class in generator coordinates: the coefficients of
+    coaug(flag, alpha), with beta_0 -> 1 and beta_i -> b_i (or c_i), which
+    is 1 + sum aug(alpha, i) * b_i.
 
-    For the trivial character this is the unit, since every twisted stage
-    contains a trivial summand.
+    For the trivial character this is the unit: it occurs first, so its
+    coaugmentation class is beta_0 alone.
     """
-    if flag.first_index(alpha) is None:
-        raise PreconditionError(
-            f"character {alpha} does not occur in the flag truncation"
-        )
-    terms: dict = {(): CoeffPoly.one(flag.group)}
-    for i in range(1, flag.length + 1):
-        c = aug(flag, alpha, i)
-        if not c.is_zero:
-            terms[((i, 1),)] = c
+    terms = {((i, 1),) if i else (): c for i, c in coaug(flag, alpha).coeffs.items()}
     return BExpr(flag, family, terms, {})
 
 
@@ -771,7 +755,7 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
             {
                 "symbol": f"theta[{al}]",
                 "degree": -d,
-                "expansion": shown(SymPoly.from_proj(coaug(flag, al), d), assignment),
+                "expansion": shown(theta_sym(flag, d, al), assignment),
             }
             for al in inverts
         ]

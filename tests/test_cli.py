@@ -320,6 +320,29 @@ def test_unreadable_input_files_exit_2(capsys, tmp_path):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# integers in specs and expressions are decimal digits: a superscript digit
+# or a doubled sign is a parse error, never a traceback
+NON_DECIMAL_INPUTS = [
+    ("thetas", "--group", "Z\u00b2"),
+    ("thetas", "--group", "Z2", "--flag", "(0),(\u00b2)"),
+    ("thetas", "--group", "Z2", "--flag", "(0),(--1)"),
+    ("eval", "--group", "Z2", "--truncate", "2", "--expr", "beta[\u00b2]"),
+    ("verify", "--config", "groups = Z\u00b2\n"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_DECIMAL_INPUTS,
+                         ids=["group", "residue", "double-sign", "index", "config-group"])
+def test_non_decimal_integers_exit_2(capsys, tmp_path, argv):
+    if argv[0] == "verify":  # the last item is the config file's text
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(argv[2], encoding="utf-8")
+        argv = (*argv[:2], str(cfg))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_verify_text_and_json(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("groups = Z2, Z3\nmax_flag_len = 3\nrandom_cases = 4\nmax_dimension = 2\n")

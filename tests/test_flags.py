@@ -20,6 +20,17 @@ def test_flag_construction():
     assert parse_flag(Z2, "(0)").first_index(Z2.character((1,))) is None
 
 
+def test_occurrence_is_the_first_index_or_an_error():
+    f = parse_flag(Z4, "(0),(1),(2),(1)")
+    assert f.occurrence(Z4.identity) == 1
+    assert f.occurrence(Z4.character((1,))) == 2
+    assert f.occurrence(Z4.character((2,))) == 3
+    with pytest.raises(PreconditionError, match=r"^character \(3\) does not occur in the flag truncation$"):
+        f.occurrence(Z4.character((3,)))
+    with pytest.raises(MismatchError, match="^character of a different group$"):
+        f.occurrence(Z2.character((1,)))
+
+
 def test_flag_requires_trivial_start():
     with pytest.raises(PreconditionError):
         parse_flag(Z2, "(1),(0)")

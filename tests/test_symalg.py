@@ -2,7 +2,7 @@ import pytest
 
 from equibord.coeff import CoeffPoly
 from equibord.errors import MismatchError, PreconditionError
-from equibord.flags import Flag, parse_flag
+from equibord.flags import Flag, aug, parse_flag
 from equibord.groups import parse_group
 from equibord.symalg import (
     BExpr,
@@ -21,6 +21,7 @@ from equibord.symalg import (
     to_b_generators,
     to_c_generators,
 )
+from equibord.verify import DEFAULT_GROUPS
 
 Z2 = parse_group("Z2")
 F2 = parse_flag(Z2, "(0),(1),(0),(1)")
@@ -163,6 +164,35 @@ def test_btheta_expansion():
     assert btheta_expansion(F2, "b", Z2.identity) == BExpr.one(F2, "b")
     with pytest.raises(PreconditionError):
         btheta_expansion(parse_flag(Z2, "(0)"), "b", SIG)
+    with pytest.raises(MismatchError, match="^character of a different group$"):
+        btheta_expansion(F2, "b", parse_group("Z3").character((1,)))
+
+
+@pytest.mark.parametrize("group", DEFAULT_GROUPS)
+def test_btheta_expansion_is_the_augmentation_sum(group):
+    # the expansion read off coaug equals 1 + sum_i aug(alpha, i) * b_i
+    g = parse_group(group)
+    for n in range(1, 9):
+        flag = Flag.cyclic(g, n)
+        for alpha in dict.fromkeys(flag.chars):
+            for family in ("b", "c"):
+                want = BExpr.one(flag, family)
+                for i in range(1, n + 1):
+                    want = want + aug(flag, alpha, i) * BExpr.generator(flag, family, i)
+                assert btheta_expansion(flag, family, alpha) == want, (flag, alpha, family)
+
+
+def test_absent_denominator_character_has_one_message():
+    flag = parse_flag(Z2, "(0)")
+    msg = r"^character \(1\) does not occur in the flag truncation$"
+    for make in (
+        lambda: LocFraction(SymPoly.one(flag, -2), {SIG: 1}),
+        lambda: BExpr(flag, "b", {(): 1}, {SIG: 1}),
+        lambda: theta_sym(flag, -2, SIG),
+        lambda: btheta_expansion(flag, "b", SIG),
+    ):
+        with pytest.raises(PreconditionError, match=msg):
+            make()
 
 
 def test_to_b_generators():
