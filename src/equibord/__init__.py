@@ -11,15 +11,8 @@ over the integers.
 from .coeff import CoeffPoly, euler_class
 from .errors import EngineError, MismatchError, PreconditionError, SpecParseError
 from .exprs import ExprContext, eval_expression
-from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality, pairing, parse_flag
-from .groups import (
-    AbelianGroup,
-    Character,
-    Representation,
-    parse_character,
-    parse_group,
-    parse_representation,
-)
+from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality, parse_flag
+from .groups import AbelianGroup, Character, Representation, parse_character, parse_group
 from .symalg import (
     BExpr,
     LocFraction,
@@ -28,7 +21,6 @@ from .symalg import (
     expand_b,
     frac_eq,
     frac_reduce,
-    mup_normal_form,
     presentation,
     retract,
     theta_mul,
@@ -68,12 +60,9 @@ __all__ = [
     "frac_eq",
     "frac_reduce",
     "load_config",
-    "mup_normal_form",
-    "pairing",
     "parse_character",
     "parse_flag",
     "parse_group",
-    "parse_representation",
     "presentation",
     "retract",
     "run_suite",

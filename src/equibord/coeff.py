@@ -14,7 +14,7 @@ from .errors import MismatchError, PreconditionError
 from .groups import AbelianGroup, Character, Representation, format_residues
 from .render import flat_terms, join_signed, signed_product
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono, mono_degree, mul_terms, power, sorted_terms,
+    RingOps, add_terms, divexact_terms, grlex_key, mono, mul_terms, power, sorted_terms,
 )
 
 _key_cache: dict = {}
@@ -66,10 +66,6 @@ class CoeffPoly(RingOps):
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {(): 1}
-
     def _coerce(self, other) -> "CoeffPoly | None":
         if isinstance(other, CoeffPoly):
             if other.group != self.group:
@@ -116,19 +112,6 @@ class CoeffPoly(RingOps):
 
     def __bool__(self):
         return bool(self.terms)
-
-    def degree(self) -> int | None:
-        """Homological degree; None for zero, error when inhomogeneous."""
-        if not self.terms:
-            return None
-        degs = {mono_degree(m) for m in self.terms}
-        if len(degs) > 1:
-            raise PreconditionError("inhomogeneous coefficient polynomial has no degree")
-        return -2 * degs.pop()
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self.terms}) <= 1
 
     def divexact(self, other: "CoeffPoly") -> "CoeffPoly | None":
         """Exact quotient self / other, or None when it does not exist.

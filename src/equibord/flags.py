@@ -15,7 +15,7 @@ from __future__ import annotations
 from .coeff import CoeffPoly, euler_class, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, parse_character
-from .sparse import RingOps, add_terms, mono
+from .sparse import mono
 
 
 class Flag:
@@ -52,7 +52,7 @@ class Flag:
         """The i-th stage V_i as a representation; V_0 is zero."""
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
-        return Representation._of(self.group, self.chars[:i])
+        return Representation(self.group, self.chars[:i])
 
     def first_index(self, alpha: Character) -> int | None:
         """1-based index of the first occurrence of alpha, or None."""
@@ -118,7 +118,7 @@ def parse_flag(group: AbelianGroup, text: str) -> Flag:
     return Flag(group, tuple(parse_character(group, p) for p in parts))
 
 
-class ProjClass(RingOps):
+class ProjClass:
     """Element of the free module on beta_0..beta_N with CoeffPoly coefficients."""
 
     __slots__ = ("flag", "coeffs")
@@ -139,32 +139,6 @@ class ProjClass(RingOps):
                 clean[i] = c
         self.coeffs = clean
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> CoeffPoly:
-        if not 0 <= i <= self.flag.length:
-            raise PreconditionError(f"basis index {i} out of range 0..{self.flag.length}")
-        return self.coeffs.get(i, CoeffPoly.zero(self.flag.group))
-
-    def __add__(self, other: "ProjClass") -> "ProjClass":
-        if not isinstance(other, ProjClass):
-            return NotImplemented
-        if self.flag != other.flag:
-            raise MismatchError("classes over different flags")
-        return ProjClass(self.flag, add_terms(self.coeffs, other.coeffs, CoeffPoly.zero(self.flag.group)))
-
-    def __neg__(self):
-        return ProjClass(self.flag, {i: -c for i, c in self.coeffs.items()})
-
-    def __mul__(self, other) -> "ProjClass":
-        if isinstance(other, (int, CoeffPoly)):
-            return ProjClass(self.flag, {i: c * other for i, c in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         return (
             isinstance(other, ProjClass)
@@ -179,20 +153,6 @@ class ProjClass(RingOps):
         assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
         return ProjClass(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
-
-    def degree(self) -> int | None:
-        """Homological degree, with beta_i in degree 2i; None for zero."""
-        if not self.coeffs:
-            return None
-        degs = set()
-        for i, c in self.coeffs.items():
-            d = c.degree()
-            if d is None:
-                continue
-            degs.add(d + 2 * i)
-        if len(degs) > 1:
-            raise PreconditionError("inhomogeneous class has no degree")
-        return degs.pop()
 
     def __str__(self):
         from .render import join_signed, signed_product
@@ -240,13 +200,6 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
         running[rs] = running.get(rs, 0) + 1
         coeffs[i] = CoeffPoly(group, {mono(running): 1})
     return ProjClass(flag, coeffs)
-
-
-def pairing(flag: Flag, i: int, x: ProjClass) -> CoeffPoly:
-    """Pair the i-th stage class against x: picks the beta_i coefficient."""
-    if x.flag != flag:
-        raise MismatchError("class over a different flag")
-    return x.coefficient(i)
 
 
 def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjClass:

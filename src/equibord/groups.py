@@ -1,10 +1,12 @@
-"""Finite abelian groups, their character groups, and representations.
+"""Finite abelian groups, their characters, and the parsers for both.
 
 The ambient group is a finite product of cyclic groups, recorded by the
 tuple of their orders.  A character is a residue vector, one entry per
 cyclic factor, multiplied by componentwise addition; characters double as
-the irreducible representations, and a finite-dimensional representation
-is a finite multiset of characters.
+the irreducible representations.  A Representation is a finite multiset of
+characters: the engine meets one only as a flag stage or its twist, whose
+Euler class it takes.  The module also reads the "key = value" files of
+the --specialize and --config options.
 """
 
 from __future__ import annotations
@@ -138,58 +140,25 @@ class Character:
 
 
 class Representation:
-    """Finite multiset of characters; the empty multiset is the zero representation."""
+    """Finite multiset of characters; the empty multiset is the zero representation.
+
+    The summands are not checked: the callers, Flag.rep and tensor, pass
+    characters already known to belong to group.
+    """
 
     __slots__ = ("group", "summands")
 
-    def __init__(self, group: AbelianGroup, summands=()):
-        chars = tuple(summands)
-        for c in chars:
-            if not isinstance(c, Character) or c.group != group:
-                raise MismatchError(f"summand {c!r} does not belong to {group}")
+    def __init__(self, group: AbelianGroup, chars):
         self.group = group
         self.summands = tuple(sorted(chars, key=lambda c: c.residues))
-
-    @classmethod
-    def _of(cls, group: AbelianGroup, chars) -> "Representation":
-        """The representation on characters already known to belong to group."""
-        rep = object.__new__(cls)
-        rep.group, rep.summands = group, tuple(sorted(chars, key=lambda c: c.residues))
-        return rep
-
-    @property
-    def dim(self) -> int:
-        return len(self.summands)
 
     @property
     def contains_trivial(self) -> bool:
         return any(c.is_trivial for c in self.summands)
 
-    def __add__(self, other: "Representation") -> "Representation":
-        if not isinstance(other, Representation):
-            return NotImplemented
-        if self.group != other.group:
-            raise MismatchError("representations of different groups")
-        return Representation(self.group, self.summands + other.summands)
-
     def tensor(self, alpha: Character) -> "Representation":
         """Twist every summand by the character alpha."""
-        return Representation._of(self.group, [alpha * c for c in self.summands])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Representation)
-            and self.group == other.group
-            and self.summands == other.summands
-        )
-
-    def __hash__(self):
-        return hash((self.group.cyclic_orders, self.summands))
-
-    def __str__(self):
-        if not self.summands:
-            return "0"
-        return "+".join(str(c) for c in self.summands)
+        return Representation(self.group, [alpha * c for c in self.summands])
 
     def __repr__(self):
         return f"Representation({self.group}, {self.summands!r})"
@@ -236,14 +205,6 @@ def parse_character(group: AbelianGroup, text: str) -> Character:
             raise SpecParseError(f"residue {p!r} out of range [0,{n}) in character {text!r}")
         residues.append(r)
     return Character(group, tuple(residues))
-
-
-def parse_representation(group: AbelianGroup, text: str) -> Representation:
-    """Parse "0" or "(..)+(..)+..." into a representation."""
-    s = text.strip()
-    if s in ("", "0"):
-        return Representation(group, ())
-    return Representation(group, tuple(parse_character(group, p) for p in s.split("+")))
 
 
 def spec_lines(path: str, what: str, form: str):

@@ -112,10 +112,6 @@ class SymPoly(RingOps):
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((), CoeffPoly.zero(self.flag.group)).is_one
-
     def _coerce(self, other) -> "SymPoly | None":
         if isinstance(other, SymPoly):
             if other.flag != self.flag:
@@ -693,19 +689,6 @@ def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
     if K - F:
         denom[flag.group.identity] = K - F
     return LocFraction(SymPoly(flag, shift, terms), denom, mode)
-
-
-def mup_normal_form(a: LocFraction) -> BExpr:
-    """Denominator-free polynomial in the c-generators for a dimension-0
-    mUP fraction; unique because the c_i are polynomial generators."""
-    if a.mode != "mUP":
-        raise PreconditionError("normal form applies to mUP-mode fractions")
-    if a.num.shift != 2:
-        raise PreconditionError("the connective periodic ring has shift +2")
-    out = _to_generators(a, "c")
-    if out.denom:
-        raise RuntimeError("an mUP fraction kept a nontrivial inverted class")
-    return out
 
 
 def invertible_characters(flag: Flag, mode: str) -> list:

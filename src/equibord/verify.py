@@ -415,8 +415,11 @@ def load_config(path: str) -> SweepConfig:
             raise SpecParseError(f"{where}: duplicate key {key!r}")
         if key == "groups":
             groups = tuple(g.strip() for g in val.split(",") if g.strip())
-            for g in groups:
-                parse_group(g)
+            try:
+                for g in groups:
+                    parse_group(g)
+            except SpecParseError as exc:
+                raise SpecParseError(f"{where}: {exc}") from None
             values["groups"] = groups
         elif key in int_keys:
             try:

@@ -1,13 +1,8 @@
 import pytest
 
 from equibord.errors import MismatchError, PreconditionError, SpecParseError
-from equibord.groups import (
-    Character,
-    Representation,
-    parse_character,
-    parse_group,
-    parse_representation,
-)
+from equibord.flags import parse_flag
+from equibord.groups import Character, parse_character, parse_group
 
 
 def test_parse_group_specs():
@@ -78,23 +73,12 @@ def test_representation_ops():
     g = parse_group("Z2")
     eps = g.identity
     sig = g.character((1,))
-    v = Representation(g, (sig, eps, sig))
-    assert v.dim == 3
+    v = parse_flag(g, "(0),(1),(0)").rep(3)
     assert v.contains_trivial
-    assert v.summands == (eps, sig, sig)  # sorted
-    w = Representation(g, (sig,))
-    assert (v + w).dim == 4
+    assert v.summands == (eps, eps, sig)  # sorted
+    assert v.tensor(sig).summands == (eps, sig, sig)
+    w = parse_flag(g, "(0)").rep(1).tensor(sig)
+    assert w.summands == (sig,)
     assert not w.contains_trivial
     assert w.tensor(sig).contains_trivial
-    assert str(w) == "(1)"
-    assert str(Representation(g, ())) == "0"
-
-
-def test_parse_representation():
-    g = parse_group("Z2")
-    assert parse_representation(g, "0").dim == 0
-    r = parse_representation(g, "(1)+(0)+(1)")
-    assert r.dim == 3
-    assert r.contains_trivial
-    with pytest.raises(SpecParseError):
-        parse_representation(g, "(1)+bad")
+    assert not parse_flag(g, "(0)").rep(0).contains_trivial

@@ -112,7 +112,9 @@ def test_load_config(tmp_path):
     assert cfg.max_dimension == default_config().max_dimension
 
 
-def test_load_config_diagnostics(tmp_path):
+def test_load_config_diagnostics(tmp_path, capsys):
+    from equibord.cli import main
+
     p = tmp_path / "bad.cfg"
     p.write_text("max_flag_len: 4\n")
     with pytest.raises(SpecParseError, match="bad.cfg:1"):
@@ -124,8 +126,12 @@ def test_load_config_diagnostics(tmp_path):
     with pytest.raises(SpecParseError, match="integer"):
         load_config(str(p))
     p.write_text("groups = Z2, nope\n")
-    with pytest.raises(SpecParseError):
+    message = f"{p}:1: bad cyclic factor 'nope' in group 'nope'"
+    with pytest.raises(SpecParseError) as excinfo:
         load_config(str(p))
+    assert str(excinfo.value) == message
+    assert main(["verify", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_config_rejects_a_repeated_key(tmp_path, capsys):
