@@ -17,16 +17,13 @@ from .sparse import (
     RingOps, add_terms, divexact_terms, grlex_key, mono, mul_terms, power, sorted_terms,
 )
 
-_key_cache: dict = {}
-
-
 def _grlex(group: AbelianGroup):
-    """Graded-lex key on Euler monomials, nontrivial characters in a fixed order."""
-    key = _key_cache.get(group.cyclic_orders)
+    """Graded-lex key on Euler monomials, nontrivial characters in a fixed
+    order; built once per group object and kept on it."""
+    key = group._euler_key
     if key is None:
         nontrivial = [c.residues for c in group.characters() if not c.is_trivial]
-        key = grlex_key({rs: i for i, rs in enumerate(nontrivial)})
-        _key_cache[group.cyclic_orders] = key
+        key = group._euler_key = grlex_key({rs: i for i, rs in enumerate(nontrivial)})
     return key
 
 
@@ -68,7 +65,7 @@ class CoeffPoly(RingOps):
 
     def _coerce(self, other) -> "CoeffPoly | None":
         if isinstance(other, CoeffPoly):
-            if other.group != self.group:
+            if other.group is not self.group and other.group != self.group:
                 raise MismatchError("coefficient polynomials over different groups")
             return other
         if isinstance(other, int):
@@ -79,7 +76,7 @@ class CoeffPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CoeffPoly(self.group, add_terms(self.terms, rhs.terms, 0))
+        return CoeffPoly(self.group, add_terms(self.terms, rhs.terms))
 
     __radd__ = __add__
 
@@ -90,7 +87,7 @@ class CoeffPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CoeffPoly(self.group, mul_terms(self.terms, rhs.terms, 0))
+        return CoeffPoly(self.group, mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -190,7 +187,7 @@ def specializer(group: AbelianGroup, assignment: dict):
                     break
                 else:
                     p = (v**k).terms
-                term = mul_terms(term, p, 0)
+                term = mul_terms(term, p)
             else:
                 for tm, tc in term.items():
                     acc[tm] = acc.get(tm, 0) + tc

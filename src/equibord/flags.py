@@ -19,9 +19,14 @@ from .sparse import mono
 
 
 class Flag:
-    """Truncated flag of characters; the first one must be trivial."""
+    """Truncated flag of characters; the first one must be trivial.
 
-    __slots__ = ("group", "chars", "_hash")
+    The first-occurrence table (character -> 1-based index, in order of
+    first occurrence) is built with the flag; the stage representations
+    V_0..V_N are built together on the first call to rep.
+    """
+
+    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages")
 
     def __init__(self, group: AbelianGroup, chars):
         cs = tuple(chars)
@@ -34,7 +39,13 @@ class Flag:
             raise PreconditionError("the first flag character must be trivial")
         self.group = group
         self.chars = cs
+        self.length = len(cs)
         self._hash = hash((group.cyclic_orders, tuple(c.residues for c in cs)))
+        first: dict[Character, int] = {}
+        for i, c in enumerate(cs, start=1):
+            first.setdefault(c, i)
+        self._first = first
+        self._stages: tuple | None = None
 
     @classmethod
     def cyclic(cls, group: AbelianGroup, length: int) -> "Flag":
@@ -44,30 +55,27 @@ class Flag:
         allc = group.characters()
         return cls(group, tuple(allc[i % len(allc)] for i in range(length)))
 
-    @property
-    def length(self) -> int:
-        return len(self.chars)
-
     def rep(self, i: int) -> Representation:
         """The i-th stage V_i as a representation; V_0 is zero."""
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
-        return Representation(self.group, self.chars[:i])
+        if self._stages is None:
+            self._stages = tuple(
+                Representation(self.group, self.chars[:k]) for k in range(self.length + 1)
+            )
+        return self._stages[i]
 
     def first_index(self, alpha: Character) -> int | None:
         """1-based index of the first occurrence of alpha, or None."""
-        for i, c in enumerate(self.chars, start=1):
-            if c == alpha:
-                return i
-        return None
+        return self._first.get(alpha)
 
     def occurrence(self, alpha: Character) -> int:
         """1-based index of the first occurrence of alpha, which must belong
         to the flag's group and occur in the truncation: the one rule for
         where the coaugmentation class of alpha is defined."""
-        if alpha.group != self.group:
+        if alpha.group is not self.group and alpha.group != self.group:
             raise MismatchError("character of a different group")
-        j = self.first_index(alpha)
+        j = self._first.get(alpha)
         if j is None:
             raise PreconditionError(f"character {alpha} does not occur in the flag truncation")
         return j
@@ -75,10 +83,10 @@ class Flag:
     @property
     def is_complete(self) -> bool:
         """Whether every character of the group occurs in the truncation."""
-        return len({c.residues for c in self.chars}) == self.group.order
+        return len(self._first) == self.group.order
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Flag)
             and self.group == other.group
             and self.chars == other.chars
@@ -139,6 +147,14 @@ class ProjClass:
                 clean[i] = c
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, flag: Flag, coeffs: dict) -> "ProjClass":
+        """Wrap {basis index: CoeffPoly} known to be valid for flag,
+        dropping zero coefficients only."""
+        x = object.__new__(cls)
+        x.flag, x.coeffs = flag, {i: c for i, c in coeffs.items() if c.terms}
+        return x
+
     def __eq__(self, other):
         return (
             isinstance(other, ProjClass)
@@ -152,7 +168,7 @@ class ProjClass:
         """Apply a coefficient-ring map to every basis coefficient; the
         assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
-        return ProjClass(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
+        return ProjClass._of(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
 
     def __str__(self):
         from .render import join_signed, signed_product
@@ -175,7 +191,7 @@ class ProjClass:
 def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
     """Augmentation value of alpha against the i-th stage class: the Euler
     class of the alpha^{-1}-twisted stage.  The 0-th value is always one."""
-    if alpha.group != flag.group:
+    if alpha.group is not flag.group and alpha.group != flag.group:
         raise MismatchError("character of a different group")
     if i == 0:
         return CoeffPoly.one(flag.group)
@@ -199,7 +215,7 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
         rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
         running[rs] = running.get(rs, 0) + 1
         coeffs[i] = CoeffPoly(group, {mono(running): 1})
-    return ProjClass(flag, coeffs)
+    return ProjClass._of(flag, coeffs)
 
 
 def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjClass:
@@ -211,4 +227,4 @@ def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjCla
     """
     flag.occurrence(alpha)
     coeffs = {i: augmentation(flag, alpha, i) for i in range(flag.length + 1)}
-    return ProjClass(flag, coeffs)
+    return ProjClass._of(flag, coeffs)

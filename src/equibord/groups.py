@@ -28,14 +28,20 @@ class AbelianGroup:
     as Z6 and Z2xZ3 are distinct ambient contexts on purpose.
     """
 
-    __slots__ = ("cyclic_orders", "identity")
+    # _interned maps a residue tuple to the group's one Character for it; it
+    # fills on first use, so even a huge group costs nothing per character
+    # until its characters are asked for.  _euler_key is the coefficient
+    # ring's graded-lex key, built by coeff on first use.
+    __slots__ = ("cyclic_orders", "identity", "_interned", "_euler_key")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
         if any(n < 1 for n in orders):
             raise SpecParseError(f"cyclic orders must be positive, got {orders!r}")
         self.cyclic_orders = orders
-        self.identity = Character(self, (0,) * len(orders))
+        self._interned: dict[tuple, Character] = {}
+        self._euler_key = None
+        self.identity = Character._of(self, (0,) * len(orders))
 
     @property
     def order(self) -> int:
@@ -75,9 +81,17 @@ class AbelianGroup:
 
 
 class Character:
-    """One character, stored as its canonical residue vector."""
+    """One character, stored as its canonical residue vector.
 
-    __slots__ = ("group", "residues", "_hash")
+    Character(group, residues) validates and builds a new object; the
+    engine's own characters come from _of, which returns the group's one
+    interned object per residue tuple.  Every character remembers its
+    inverse and its products once computed, so repeated arithmetic is a
+    lookup.  Equality and hashing go by the group's orders and the
+    residues, never by identity.
+    """
+
+    __slots__ = ("group", "residues", "_hash", "_inverse", "_products")
 
     def __init__(self, group: AbelianGroup, residues):
         rs = tuple(residues)
@@ -90,12 +104,20 @@ class Character:
         self.group = group
         self.residues = rs
         self._hash = hash((group.cyclic_orders, rs))
+        self._inverse = None
+        self._products: dict[tuple, Character] = {}
 
     @classmethod
     def _of(cls, group: AbelianGroup, residues: tuple) -> "Character":
-        """Wrap a residue tuple that is already reduced mod the group's orders."""
-        ch = object.__new__(cls)
-        ch.group, ch.residues, ch._hash = group, residues, hash((group.cyclic_orders, residues))
+        """The group's interned character for a residue tuple that is
+        already reduced mod the group's orders."""
+        ch = group._interned.get(residues)
+        if ch is None:
+            ch = object.__new__(cls)
+            ch.group, ch.residues = group, residues
+            ch._hash = hash((group.cyclic_orders, residues))
+            ch._inverse, ch._products = None, {}
+            group._interned[residues] = ch
         return ch
 
     @property
@@ -106,19 +128,25 @@ class Character:
         if not isinstance(other, Character):
             return NotImplemented
         group = self.group
-        if other.group != group:
+        if other.group is not group and other.group != group:
             raise MismatchError("characters of different groups")
-        rs = tuple(
-            (a + b) % n for a, b, n in zip(self.residues, other.residues, group.cyclic_orders)
-        )
-        return Character._of(group, rs)
+        # keyed by residues: other's group equals this one, checked above
+        ch = self._products.get(other.residues)
+        if ch is None:
+            rs = tuple(
+                (a + b) % n for a, b, n in zip(self.residues, other.residues, group.cyclic_orders)
+            )
+            ch = self._products[other.residues] = Character._of(group, rs)
+        return ch
 
     def inverse(self) -> "Character":
-        rs = tuple((-r) % n for r, n in zip(self.residues, self.group.cyclic_orders))
-        return Character._of(self.group, rs)
+        if self._inverse is None:
+            rs = tuple((-r) % n for r, n in zip(self.residues, self.group.cyclic_orders))
+            self._inverse = Character._of(self.group, rs)
+        return self._inverse
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Character)
             and self.group.cyclic_orders == other.group.cyclic_orders
             and self.residues == other.residues

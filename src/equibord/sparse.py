@@ -71,23 +71,25 @@ def sorted_terms(terms: dict, key) -> list:
     return sorted(terms.items(), key=lambda kv: key(kv[0]), reverse=True)
 
 
-def add_terms(t1: dict, t2: dict, zero) -> dict:
-    """Sum of two term dicts; zero is the coefficients' zero.  Zero
-    coefficients may remain in the result."""
+def add_terms(t1: dict, t2: dict) -> dict:
+    """Sum of two term dicts.  Zero coefficients may remain in the result,
+    and a coefficient may be shared with an operand."""
     acc = dict(t1)
     for m, c in t2.items():
-        acc[m] = acc.get(m, zero) + c
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
     return acc
 
 
-def mul_terms(t1: dict, t2: dict, zero) -> dict:
-    """Product of two term dicts; zero is the coefficients' zero.  Zero
-    coefficients may remain in the result."""
+def mul_terms(t1: dict, t2: dict) -> dict:
+    """Product of two term dicts.  Zero coefficients may remain in the
+    result."""
     acc: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             m = mono_mul(m1, m2)
-            acc[m] = acc.get(m, zero) + c1 * c2
+            prev = acc.get(m)
+            acc[m] = c1 * c2 if prev is None else prev + c1 * c2
     return acc
 
 

@@ -93,6 +93,14 @@ class SymPoly(RingOps):
         self.terms = clean
 
     @classmethod
+    def _of(cls, flag: Flag, shift: int, terms: dict) -> "SymPoly":
+        """Wrap {monomial: CoeffPoly} terms known to be valid for flag and
+        shift, such as a kernel result, dropping zero coefficients only."""
+        x = object.__new__(cls)
+        x.flag, x.shift, x.terms = flag, shift, {m: c for m, c in terms.items() if c.terms}
+        return x
+
+    @classmethod
     def zero(cls, flag: Flag, shift: int) -> "SymPoly":
         return cls(flag, shift, {})
 
@@ -114,6 +122,8 @@ class SymPoly(RingOps):
 
     def _coerce(self, other) -> "SymPoly | None":
         if isinstance(other, SymPoly):
+            if other.flag is self.flag and other.shift == self.shift:
+                return other
             if other.flag != self.flag:
                 raise MismatchError("operands over different flags")
             if other.shift != self.shift:
@@ -127,20 +137,20 @@ class SymPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = add_terms(self.terms, rhs.terms, CoeffPoly.zero(self.flag.group))
-        return SymPoly(self.flag, self.shift, acc)
+        acc = add_terms(self.terms, rhs.terms)
+        return SymPoly._of(self.flag, self.shift, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly(self.flag, self.shift, {m: -c for m, c in self.terms.items()})
+        return SymPoly._of(self.flag, self.shift, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = mul_terms(self.terms, rhs.terms, CoeffPoly.zero(self.flag.group))
-        return SymPoly(self.flag, self.shift, acc)
+        acc = mul_terms(self.terms, rhs.terms)
+        return SymPoly._of(self.flag, self.shift, acc)
 
     __rmul__ = __mul__
 
@@ -194,13 +204,13 @@ class SymPoly(RingOps):
             self.terms, rhs.terms, _beta_key(self.flag), CoeffPoly.divexact,
             CoeffPoly.zero(self.flag.group),
         )
-        return None if quot is None else SymPoly(self.flag, self.shift, quot)
+        return None if quot is None else SymPoly._of(self.flag, self.shift, quot)
 
     def specialize(self, assignment: dict) -> "SymPoly":
         """Apply a coefficient-ring map to every term's coefficient; the
         assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
-        return SymPoly(self.flag, self.shift, {m: spec(c) for m, c in self.terms.items()})
+        return SymPoly._of(self.flag, self.shift, {m: spec(c) for m, c in self.terms.items()})
 
     def __str__(self):
         return join_signed(_term_parts(self, "beta"))
@@ -253,7 +263,7 @@ def retract(x: SymPoly, n: int | None = None, alpha: Character | None = None) ->
         q = mono_div(m, ((0, 1),))
         if q is not None:
             acc[q] = c
-    return SymPoly(x.flag, x.shift, acc)
+    return SymPoly._of(x.flag, x.shift, acc)
 
 
 class _Quotient(RingOps):
@@ -688,7 +698,7 @@ def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
     denom: dict = dict(e.denom)
     if K - F:
         denom[flag.group.identity] = K - F
-    return LocFraction(SymPoly(flag, shift, terms), denom, mode)
+    return LocFraction(SymPoly._of(flag, shift, terms), denom, mode)
 
 
 def invertible_characters(flag: Flag, mode: str) -> list:

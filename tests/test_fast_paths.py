@@ -1,8 +1,11 @@
-"""The fast paths of specialization, character arithmetic and the complete-flag
-enumeration, each checked against a plain reference written here."""
+"""The fast paths of specialization, character arithmetic and interning, the
+flag stage and first-occurrence tables, the kernel-result constructors and
+the complete-flag enumeration, each checked against a plain reference
+written here."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +14,7 @@ from equibord import symalg
 from equibord.coeff import CoeffPoly
 from equibord.errors import MismatchError, PreconditionError
 from equibord.flags import Flag, ProjClass
-from equibord.groups import Character, parse_group
+from equibord.groups import Character, Representation, parse_group
 from equibord.sparse import mono
 from equibord.symalg import BExpr, LocFraction, SymPoly, to_b_generators
 from equibord.verify import _complete_flags
@@ -186,6 +189,136 @@ def test_character_arithmetic_still_checks_groups():
         a * b
     with pytest.raises(MismatchError):
         Flag(b.group, (b.group.identity, b)).rep(2).tensor(a)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_interning_gives_one_object_per_residue_tuple(spec):
+    group = parse_group(spec)
+    chars = group.characters()
+    assert chars[0] is group.identity
+    assert all(c is d for c, d in zip(chars, group.characters()))
+    interned = {c.residues: c for c in chars}
+    for a in chars:
+        assert group.character(a.residues) is a
+        assert a.inverse() is interned[a.inverse().residues]
+        for b in chars:
+            assert a * b is interned[(a * b).residues]
+            assert a * b is b * a
+
+
+def test_validated_construction_equals_the_interned_character():
+    group = parse_group("Z2xZ4")
+    for a in group.characters():
+        fresh = Character(group, a.residues)
+        assert fresh == a and hash(fresh) == hash(a)
+        assert fresh * group.identity is a
+        assert fresh.inverse() is a.inverse()
+    for bad in [(2, 0), (0, 4), (0, -1), (1,), (0, 0, 0)]:
+        with pytest.raises(PreconditionError, match="out of range"):
+            Character(group, bad)
+
+
+def test_unequal_groups_raise_after_a_product_is_remembered():
+    z4, z2 = parse_group("Z4"), parse_group("Z2")
+    a = z4.character((1,))
+    assert a * z4.character((1,)) == z4.character((2,))
+    # the remembered product is keyed by residues; (1,) of Z2 must not hit it
+    with pytest.raises(MismatchError, match="^characters of different groups$"):
+        a * z2.character((1,))
+    with pytest.raises(MismatchError):
+        z2.character((1,)) * a
+
+
+def test_a_huge_group_allocates_no_per_character_table():
+    tracemalloc.start()
+    try:
+        group = parse_group("Z100000000")
+        a, b = group.character((99999999,)), group.character((12345,))
+        assert (a * b).residues == (12344,)
+        assert a.inverse().residues == (1,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# flag tables -----------------------------------------------------------------
+
+
+def _repeating_flags(group, rng: random.Random) -> list:
+    chars = group.characters()
+    return [
+        Flag(group, (group.identity,) + tuple(rng.choice(chars) for _ in range(length)))
+        for length in range(0, 9)
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_flag_stages_are_the_prefixes(spec):
+    group = parse_group(spec)
+    for flag in _repeating_flags(group, random.Random(f"stages-{spec}")):
+        for i in range(flag.length + 1):
+            assert flag.rep(i).summands == Representation(group, flag.chars[:i]).summands
+            assert flag.rep(i) is flag.rep(i)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_first_occurrence_table_matches_a_linear_scan(spec):
+    group = parse_group(spec)
+    twin = parse_group(spec)
+    foreign = parse_group("Z3xZ3")
+    for flag in _repeating_flags(group, random.Random(f"first-{spec}")):
+        for alpha in group.characters():
+            scan = next((i for i, c in enumerate(flag.chars, start=1) if c == alpha), None)
+            assert flag.first_index(alpha) == scan
+            assert flag.first_index(Character(twin, alpha.residues)) == scan
+            if scan is None:
+                with pytest.raises(PreconditionError, match="does not occur"):
+                    flag.occurrence(alpha)
+            else:
+                assert flag.occurrence(alpha) == scan
+        assert flag.is_complete == (len({c.residues for c in flag.chars}) == group.order)
+        assert flag.first_index(foreign.identity) is None
+        with pytest.raises(MismatchError):
+            flag.occurrence(foreign.identity)
+
+
+# kernel-result constructors ------------------------------------------------------
+
+
+def test_cancelling_sympoly_sums_and_products_are_zero():
+    z4 = parse_group("Z4")
+    flag = Flag.cyclic(z4, 4)
+    e1 = CoeffPoly.euler(z4.character((1,)))
+    x = SymPoly(flag, -2, {((0, 1),): e1, ((2, 1),): 3})
+    y = SymPoly(flag, -2, {((0, 1),): -e1, ((2, 1),): -3})
+    for zero in (x + y, x - x, -x + x, x * 0, x * CoeffPoly.zero(z4), (x + y) * x):
+        assert zero.is_zero and zero.terms == {} and zero == 0
+    b0, b1 = SymPoly.var(flag, -2, 0), SymPoly.var(flag, -2, 1)
+    square_diff = (b0 + b1) * (b0 - b1)
+    assert square_diff.terms == (b0 * b0 - b1 * b1).terms
+    assert ((0, 1), (1, 1)) not in square_diff.terms  # the cross terms cancel
+    assert all(not c.is_zero for c in square_diff.terms.values())
+    half = SymPoly(flag, -2, {((1, 1),): e1})
+    assert (half + SymPoly(flag, -2, {((1, 1),): -e1}) + x).terms == x.terms
+
+
+def test_public_sympoly_construction_keeps_every_check():
+    z4 = parse_group("Z4")
+    flag = Flag.cyclic(z4, 3)
+    with pytest.raises(PreconditionError, match=r"^beta index 4 out of range 0\.\.3$"):
+        SymPoly(flag, -2, {((4, 1),): 1})
+    with pytest.raises(PreconditionError, match=r"^beta index -1 out of range 0\.\.3$"):
+        SymPoly(flag, -2, {((-1, 1),): 1})
+    for k in (0, -2):
+        with pytest.raises(PreconditionError, match=r"^nonpositive exponent on beta\[1\]$"):
+            SymPoly(flag, -2, {((1, k),): 1})
+    with pytest.raises(MismatchError, match="^coefficient over a different group$"):
+        SymPoly(flag, -2, {((1, 1),): CoeffPoly.one(parse_group("Z2"))})
+    with pytest.raises(PreconditionError, match="^shift must be one of"):
+        SymPoly(flag, 1, {})
+    assert SymPoly(flag, 2, {((1, 1),): 0, (): 2}).terms == {(): CoeffPoly.const(z4, 2)}
 
 
 # complete flags ---------------------------------------------------------------
