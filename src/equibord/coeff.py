@@ -14,7 +14,7 @@ from .errors import MismatchError, PreconditionError
 from .groups import AbelianGroup, Character, Representation, format_residues
 from .render import flat_terms, join_signed, signed_product
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono, mul_terms, power, sorted_terms,
+    RingOps, add_terms, divexact_terms, grlex_key, mul_terms, power, sorted_terms,
 )
 
 def _grlex(group: AbelianGroup):
@@ -198,10 +198,21 @@ def specializer(group: AbelianGroup, assignment: dict):
 
 def euler_class(rep: Representation) -> CoeffPoly:
     """Euler class of a representation: zero when a trivial summand occurs,
-    otherwise the product of the summands' Euler symbols."""
+    otherwise the product of the summands' Euler symbols.  The summands are
+    sorted by residues, so each exponent is the length of a run of equal
+    summands and the runs come in monomial order."""
     if rep.contains_trivial:
         return CoeffPoly.zero(rep.group)
-    counts: dict[tuple, int] = {}
+    runs = []
+    prev = None
     for c in rep.summands:
-        counts[c.residues] = counts.get(c.residues, 0) + 1
-    return CoeffPoly(rep.group, {mono(counts): 1})
+        rs = c.residues
+        if rs == prev:
+            k += 1
+        else:
+            if prev is not None:
+                runs.append((prev, k))
+            prev, k = rs, 1
+    if prev is not None:
+        runs.append((prev, k))
+    return CoeffPoly(rep.group, {tuple(runs): 1})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
+from operator import attrgetter
 
 from .errors import MismatchError, PreconditionError, SpecParseError
 
@@ -30,9 +31,10 @@ class AbelianGroup:
 
     # _interned maps a residue tuple to the group's one Character for it; it
     # fills on first use, so even a huge group costs nothing per character
-    # until its characters are asked for.  _euler_key is the coefficient
-    # ring's graded-lex key, built by coeff on first use.
-    __slots__ = ("cyclic_orders", "identity", "_interned", "_euler_key")
+    # until its characters are asked for.  _characters is the tuple of all of
+    # them, enumerated on the first call to characters().  _euler_key is the
+    # coefficient ring's graded-lex key, built by coeff on first use.
+    __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -40,6 +42,7 @@ class AbelianGroup:
             raise SpecParseError(f"cyclic orders must be positive, got {orders!r}")
         self.cyclic_orders = orders
         self._interned: dict[tuple, Character] = {}
+        self._characters: tuple | None = None
         self._euler_key = None
         self.identity = Character._of(self, (0,) * len(orders))
 
@@ -57,11 +60,14 @@ class AbelianGroup:
         return Character._of(self, tuple(int(r) % n for r, n in zip(rs, self.cyclic_orders)))
 
     def characters(self) -> list["Character"]:
-        """All characters in lexicographic order; the trivial one comes first."""
-        return [
-            Character._of(self, rs)
-            for rs in itertools.product(*(range(n) for n in self.cyclic_orders))
-        ]
+        """All characters in lexicographic order, as a new list; the trivial
+        one comes first."""
+        if self._characters is None:
+            self._characters = tuple(
+                Character._of(self, rs)
+                for rs in itertools.product(*(range(n) for n in self.cyclic_orders))
+            )
+        return list(self._characters)
 
     def __eq__(self, other):
         return self is other or (
@@ -167,10 +173,15 @@ class Character:
         return f"Character({self.group}, {self.residues!r})"
 
 
+_by_residues = attrgetter("residues")
+
+
 class Representation:
     """Finite multiset of characters; the empty multiset is the zero representation.
 
-    The summands are not checked: the callers, Flag.rep and tensor, pass
+    The summands are kept sorted by residues, so equal characters are
+    adjacent and the trivial one, all of whose residues are zero, comes
+    first.  They are not checked: the callers, Flag.rep and tensor, pass
     characters already known to belong to group.
     """
 
@@ -178,11 +189,11 @@ class Representation:
 
     def __init__(self, group: AbelianGroup, chars):
         self.group = group
-        self.summands = tuple(sorted(chars, key=lambda c: c.residues))
+        self.summands = tuple(sorted(chars, key=_by_residues))
 
     @property
     def contains_trivial(self) -> bool:
-        return any(c.is_trivial for c in self.summands)
+        return bool(self.summands) and not any(self.summands[0].residues)
 
     def tensor(self, alpha: Character) -> "Representation":
         """Twist every summand by the character alpha."""

@@ -367,6 +367,27 @@ class _Quotient(RingOps):
         ]
 
 
+def _lift(num_a, denom_a: dict, num_b, denom_b: dict, theta) -> tuple:
+    """(num_a lifted, num_b lifted, common denominator) for two numerators
+    over {Character: exponent} denominators: each numerator is multiplied by
+    theta(alpha) ** k for every inverted class alpha that its own
+    denominator lacks, k being the power it lacks."""
+    common = {}
+    lift_a = lift_b = None
+    for al in set(denom_a) | set(denom_b):
+        ka, kb = denom_a.get(al, 0), denom_b.get(al, 0)
+        common[al] = max(ka, kb)
+        if ka < kb:
+            t = theta(al) ** (kb - ka)
+            lift_a = t if lift_a is None else lift_a * t
+        elif kb < ka:
+            t = theta(al) ** (ka - kb)
+            lift_b = t if lift_b is None else lift_b * t
+    num_a = num_a if lift_a is None else num_a * lift_a
+    num_b = num_b if lift_b is None else num_b * lift_b
+    return num_a, num_b, common
+
+
 def lift_to_common(a, b) -> tuple:
     """(numerator of a, numerator of b, denominator) over the common
     denominator of two LocFractions or two BExprs of one context.
@@ -374,20 +395,7 @@ def lift_to_common(a, b) -> tuple:
     Each numerator is multiplied by the inverted classes that its own
     denominator lacks.
     """
-    common = {}
-    lift_a = lift_b = None
-    for al in set(a.denom) | set(b.denom):
-        ka, kb = a.denom.get(al, 0), b.denom.get(al, 0)
-        common[al] = max(ka, kb)
-        if ka < kb:
-            t = a._theta(al) ** (kb - ka)
-            lift_a = t if lift_a is None else lift_a * t
-        elif kb < ka:
-            t = a._theta(al) ** (ka - kb)
-            lift_b = t if lift_b is None else lift_b * t
-    num_a = a.num if lift_a is None else a.num * lift_a
-    num_b = b.num if lift_b is None else b.num * lift_b
-    return num_a, num_b, common
+    return _lift(a.num, a.denom, b.num, b.denom, a._theta)
 
 
 class LocFraction(_Quotient):

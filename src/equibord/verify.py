@@ -27,11 +27,11 @@ from .symalg import (
     BExpr,
     LocFraction,
     SymPoly,
+    _lift,
     btheta_expansion,
     expand_b,
     frac_eq,
     invertible_characters,
-    lift_to_common,
     presentation,
     retract,
     theta_mul,
@@ -146,14 +146,35 @@ def _cx(gspec: str, flag: Flag, claim: str, options=(), **fields) -> dict:
 
 
 def _complete_flags(group, max_len: int):
-    """All flags of length <= max_len whose truncation contains every character;
-    none is shorter than the group order."""
+    """All flags of length <= max_len whose truncation contains every
+    character: by length, and within one length in lexicographic order of
+    the tail, characters ranked as in group.characters().  None is shorter
+    than the group order.
+
+    The tail is extended depth first, and a prefix is dropped as soon as the
+    slots left cannot hold the characters it still lacks, so no incomplete
+    flag is ever built."""
     chars = group.characters()
-    for length in range(group.order, max_len + 1):
-        for tail in itertools.product(chars, repeat=length - 1):
-            flag_chars = (chars[0],) + tail
-            if len({c.residues for c in flag_chars}) == group.order:
-                yield Flag(group, flag_chars)
+    order = len(chars)
+    prefix = [chars[0]]
+    uses = [1] + [0] * (order - 1)  # occurrences of each character in prefix
+
+    def extend(left: int, missing: int):
+        if not left:
+            yield Flag(group, prefix)
+            return
+        for i, c in enumerate(chars):
+            lacking = missing - (not uses[i])
+            if lacking >= left:
+                continue
+            uses[i] += 1
+            prefix.append(c)
+            yield from extend(left - 1, lacking)
+            prefix.pop()
+            uses[i] -= 1
+
+    for length in range(order, max_len + 1):
+        yield from extend(length - 1, order - 1)
 
 
 def _duality_cases(groups, max_flag_len: int, augmentation):
@@ -280,6 +301,29 @@ def check_retraction(cfg: SweepConfig):
                 yield None if back.is_zero else failure(n, x, back, f"({back}) == 0")
 
 
+def _specialized_lift(a: LocFraction, b: LocFraction, assignment: dict, thetas: dict) -> tuple:
+    """The two numerators of lift_to_common(a, b), each specialized by
+    assignment.
+
+    Specialization is a ring map, so the numerators and the inverted
+    classes are specialized before they are multiplied, not after.  thetas
+    maps a character to its specialized class; it fills on first use, so it
+    must only ever see fractions over one flag and shift with one
+    assignment.
+    """
+
+    def theta(al):
+        t = thetas.get(al)
+        if t is None:
+            t = thetas[al] = a._theta(al).specialize(assignment)
+        return t
+
+    lhs, rhs, _ = _lift(
+        a.num.specialize(assignment), a.denom, b.num.specialize(assignment), b.denom, theta
+    )
+    return lhs, rhs
+
+
 @_check
 def check_specialization_collapse(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
@@ -297,14 +341,14 @@ def check_specialization_collapse(cfg: SweepConfig):
             yield None if bth == BExpr.one(flag, "b") else _cx(
                 gspec, flag, f"({bth}) == 1", ("--shift", "-2"), alpha=alpha, collapsed=bth
             )
+        thetas: dict = {}
         for _ in range(cfg.random_cases):
             x = _random_dim0_fraction(rng, flag, -2, "MUP", cfg.max_dimension)
             e = to_b_generators(x)
             bare = BExpr(e.flag, e.family, e.terms, {})
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
-            lhs, rhs, _ = lift_to_common(ya, yb)
-            lhs, rhs = lhs.specialize(zero_asg), rhs.specialize(zero_asg)
+            lhs, rhs = _specialized_lift(ya, yb, zero_asg, thetas)
             yield None if lhs == rhs else _cx(
                 gspec, flag, f"({lhs}) == ({rhs})", ("--shift", "-2"),
                 fraction=x, collapsed=e.specialize(zero_asg),

@@ -1,7 +1,8 @@
-"""The fast paths of specialization, character arithmetic and interning, the
-flag stage and first-occurrence tables, the kernel-result constructors and
-the complete-flag enumeration, each checked against a plain reference
-written here."""
+"""The fast paths of specialization, character arithmetic and interning,
+representations and their Euler classes, the flag stage and
+first-occurrence tables, the kernel-result constructors, the complete-flag
+enumeration and the collapse check's specialize-then-lift, each checked
+against a plain reference written here."""
 
 import itertools
 import random
@@ -11,13 +12,15 @@ from collections import Counter
 import pytest
 
 from equibord import symalg
-from equibord.coeff import CoeffPoly
+from equibord.coeff import CoeffPoly, euler_class
 from equibord.errors import MismatchError, PreconditionError
 from equibord.flags import Flag, ProjClass
 from equibord.groups import Character, Representation, parse_group
 from equibord.sparse import mono
-from equibord.symalg import BExpr, LocFraction, SymPoly, to_b_generators
-from equibord.verify import _complete_flags
+from equibord.symalg import BExpr, LocFraction, SymPoly, expand_b, lift_to_common, to_b_generators
+from equibord.verify import (
+    DEFAULT_GROUPS, _complete_flags, _random_dim0_fraction, _specialized_lift,
+)
 
 GROUPS = ("1", "Z4", "Z2xZ2", "Z2xZ4")
 
@@ -242,6 +245,53 @@ def test_a_huge_group_allocates_no_per_character_table():
     assert peak < 64 * 1024
 
 
+def test_characters_is_a_new_list_of_the_interned_characters():
+    group = parse_group("Z2xZ4")
+    first = group.characters()
+    first.reverse()
+    first.append(None)
+    again = group.characters()
+    assert again is not first
+    assert [c.residues for c in again] == list(itertools.product(range(2), range(4)))
+    assert all(c is d for c, d in zip(again, group.characters()))
+
+
+# representations ---------------------------------------------------------------
+
+
+def _multisets(group, rng: random.Random) -> list:
+    """The empty multiset, all-trivial ones, and seeded ones with repeats,
+    part interned and part validated characters."""
+    chars = group.characters()
+    out = [[], [group.identity], [group.identity] * 3]
+    for size in range(1, 9):
+        for _ in range(4):
+            picks = [rng.choice(chars) for _ in range(size)]
+            out.append([c if rng.random() < 0.5 else Character(group, c.residues) for c in picks])
+    return out
+
+
+def _counted_euler_class(group, chars) -> CoeffPoly:
+    """Zero with a trivial summand, else one Euler symbol per summand."""
+    if any(c.is_trivial for c in chars):
+        return CoeffPoly.zero(group)
+    return CoeffPoly(group, {mono(Counter(c.residues for c in chars)): 1})
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_representations_and_euler_classes_match_the_counting_definition(spec):
+    group = parse_group(spec)
+    rng = random.Random(f"representations-{spec}")
+    for chars in _multisets(group, rng):
+        alpha = rng.choice(group.characters())
+        for rep in (Representation(group, chars), Representation(group, chars).tensor(alpha)):
+            summands = list(rep.summands)
+            assert [c.residues for c in summands] == sorted(c.residues for c in summands)
+            assert rep.contains_trivial == any(c.is_trivial for c in summands)
+            assert euler_class(rep) == _counted_euler_class(group, summands)
+        assert Counter(Representation(group, chars).summands) == Counter(chars)
+
+
 # flag tables -----------------------------------------------------------------
 
 
@@ -335,6 +385,51 @@ def test_complete_flags_match_filtering_every_length(spec):
         if len({c.residues for c in (chars[0],) + tail}) == group.order
     ]
     assert list(_complete_flags(group, 6)) == want
+
+
+@pytest.mark.parametrize("spec, max_len", [("Z3", 8), ("Z2xZ2", 7), ("Z5", 7)])
+def test_complete_flags_match_filtering_past_the_group_order(spec, max_len):
+    group = parse_group(spec)
+    chars = group.characters()
+    want = [
+        Flag(group, (chars[0],) + tail)
+        for length in range(1, max_len + 1)
+        for tail in itertools.product(chars, repeat=length - 1)
+        if len(set((chars[0],) + tail)) == group.order
+    ]
+    assert list(_complete_flags(group, max_len)) == want
+
+
+def test_complete_flags_of_an_order_8_group_at_length_8():
+    group = parse_group("Z2xZ4")
+    rank = {c: i for i, c in enumerate(group.characters())}
+    flags = list(_complete_flags(group, 8))
+    assert len(flags) == 5040  # the 7! orders of the nontrivial characters
+    assert all(f.is_complete and f.length == 8 for f in flags)
+    tails = [[rank[c] for c in f.chars] for f in flags]
+    assert tails == sorted(tails) and len({tuple(t) for t in tails}) == len(tails)
+
+
+# the collapse check's specialize-then-lift ------------------------------------
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_specialize_then_lift_equals_lift_then_specialize(spec):
+    group = parse_group(spec)
+    flag = Flag.cyclic(group, max(group.order, 2))
+    zero = {c: 0 for c in group.characters() if not c.is_trivial}
+    rng = random.Random(f"collapse-{spec}")
+    thetas: dict = {}
+    for _ in range(6):
+        x = _random_dim0_fraction(rng, flag, -2, "MUP", 4)
+        y = _random_dim0_fraction(rng, flag, -2, "MUP", 4)
+        e = to_b_generators(x)
+        bare = expand_b(BExpr(e.flag, e.family, e.terms, {}), "MUP")
+        for a, b in ((x, y), (expand_b(e, "MUP"), bare)):
+            lhs, rhs, _ = lift_to_common(a, b)
+            got = _specialized_lift(a, b, zero, thetas)
+            assert all(isinstance(p, SymPoly) for p in got)
+            assert got == (lhs.specialize(zero), rhs.specialize(zero))
 
 
 # invariants of the generator rewrite ---------------------------------------

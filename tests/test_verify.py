@@ -240,8 +240,8 @@ FAULTS = [
     (check_retraction, "retract", 40, _echo_input, 40, "retraction"),
     (check_periodicity, "theta_mul", 1, _vanish, 1, "period"),
     (check_periodicity, "theta_mul", 78, _vanish, 78, "injective"),
-    (check_specialization_collapse, "lift_to_common", 1, _shift_rhs, 3, "collapse"),
-    (check_specialization_collapse, "lift_to_common", 17, _shift_rhs, 23, "collapse"),
+    (check_specialization_collapse, "_specialized_lift", 1, _shift_rhs, 3, "collapse"),
+    (check_specialization_collapse, "_specialized_lift", 17, _shift_rhs, 23, "collapse"),
     (check_specialization_collapse, "presentation", 2, _invert_something, 64, "presentation"),
     (check_mutation_sensitivity, "_mutated_aug", 11, _plus_one, 3, "flagged_on_z2"),
 ]
@@ -276,6 +276,27 @@ def test_undetected_mutation_fails_the_sensitivity_check(monkeypatch):
     assert result.status == "fail"
     assert result.cases == 316
     assert list(result.counterexample) == ["reason", "argv"]
+
+
+def test_collapse_check_uses_the_engine_theta(monkeypatch, capsys):
+    # spec(theta_alpha) = beta_0 must be computed, not assumed: a theta with
+    # a stray beta[1] on every nontrivial class has to fail the check
+    from equibord import symalg
+    from equibord.cli import main
+
+    real = symalg.theta_sym
+
+    def skewed(flag, shift, alpha):
+        t = real(flag, shift, alpha)
+        return t if alpha.is_trivial else t + symalg.SymPoly.var(flag, shift, 1)
+
+    monkeypatch.setattr(symalg, "theta_sym", skewed)
+    result = check_specialization_collapse(SMALL)
+    assert result.status == "fail"
+    assert list(result.counterexample) == CASE_KEYS["collapse"]
+    monkeypatch.undo()
+    assert main(result.counterexample["argv"]) == 0
+    assert "verdict: not equal" in capsys.readouterr().out
 
 
 def test_failing_report_matches_schema(monkeypatch, tmp_path, capsys):
