@@ -41,6 +41,13 @@ class CoeffPoly(RingOps):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
+    def _of(cls, group: AbelianGroup, terms: dict) -> "CoeffPoly":
+        """Wrap {monomial: nonzero int} terms known to be valid for group."""
+        x = object.__new__(cls)
+        x.group, x.terms = group, terms
+        return x
+
+    @classmethod
     def zero(cls, group: AbelianGroup) -> "CoeffPoly":
         return cls(group, {})
 

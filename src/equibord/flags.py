@@ -209,12 +209,12 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     group = flag.group
     inv = alpha.inverse().residues
     orders = group.cyclic_orders
-    coeffs: dict[int, CoeffPoly] = {0: CoeffPoly.one(group)}
+    coeffs: dict[int, CoeffPoly] = {0: CoeffPoly._of(group, {(): 1})}
     running: dict[tuple, int] = {}
     for i in range(1, j):
         rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
         running[rs] = running.get(rs, 0) + 1
-        coeffs[i] = CoeffPoly(group, {mono(running): 1})
+        coeffs[i] = CoeffPoly._of(group, {mono(running): 1})
     return ProjClass._of(flag, coeffs)
 
 

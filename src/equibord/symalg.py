@@ -209,8 +209,7 @@ class SymPoly(RingOps):
     def specialize(self, assignment: dict) -> "SymPoly":
         """Apply a coefficient-ring map to every term's coefficient; the
         assignment is checked first, entry by entry, even on zero."""
-        spec = specializer(self.flag.group, assignment)
-        return SymPoly._of(self.flag, self.shift, {m: spec(c) for m, c in self.terms.items()})
+        return _specialized(self, specializer(self.flag.group, assignment))
 
     def __str__(self):
         return join_signed(_term_parts(self, "beta"))
@@ -220,6 +219,11 @@ class SymPoly(RingOps):
 
     def __repr__(self):
         return f"SymPoly({self.flag}, d={self.shift}, {self})"
+
+
+def _specialized(x: SymPoly, spec) -> SymPoly:
+    """x with spec, a coeff.specializer of its group, applied to every coefficient."""
+    return SymPoly._of(x.flag, x.shift, {m: spec(c) for m, c in x.terms.items()})
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
-from .coeff import CoeffPoly, euler_class
+from .coeff import CoeffPoly, euler_class, specializer
 from .errors import SpecParseError
 from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from .groups import parse_group, spec_lines
@@ -28,6 +28,7 @@ from .symalg import (
     LocFraction,
     SymPoly,
     _lift,
+    _specialized,
     btheta_expansion,
     expand_b,
     frac_eq,
@@ -178,13 +179,31 @@ def _complete_flags(group, max_len: int):
 
 
 def _duality_cases(groups, max_flag_len: int, augmentation):
-    """Compare the closed coaugmentation formula against the duality route."""
+    """Compare the closed coaugmentation formula against the duality route.
+
+    The augmentation value at stage i depends only on alpha and the first i
+    characters of the flag, and an injected augmentation must keep to that.
+    The flags come depth first, so consecutive ones share long prefixes:
+    each character keeps its stage values of the previous flag up to the
+    shared prefix and computes only the stages past it, in order."""
     for gspec in groups:
         group = parse_group(gspec)
+        alphas = group.characters()
+        stages = [[] for _ in alphas]  # per character, stage values 0.. of the last flag
+        prev = ()
         for flag in _complete_flags(group, max_flag_len):
-            for alpha in group.characters():
+            p = 0
+            for a, b in zip(flag.chars, prev):
+                if a is not b:
+                    break
+                p += 1
+            prev = flag.chars
+            for alpha, values in zip(alphas, stages):
+                del values[p + 1:]
+                for i in range(len(values), flag.length + 1):
+                    values.append(augmentation(flag, alpha, i))
                 closed = coaug(flag, alpha)
-                dual = coaug_via_duality(flag, alpha, augmentation)
+                dual = coaug_via_duality(flag, alpha, lambda _flag, _alpha, i: values[i])
                 yield None if closed == dual else _cx(
                     gspec, flag, f"({closed}) == ({dual})",
                     alpha=alpha, closed_form=closed, duality=dual,
@@ -202,17 +221,19 @@ def check_coaug_duality(cfg: SweepConfig):
 
 
 def _random_coeff(rng: random.Random, group) -> CoeffPoly:
-    nontrivial = [c for c in group.characters() if not c.is_trivial]
-    if not nontrivial:
-        return CoeffPoly.const(group, rng.choice((1, -1)))
-    kind = rng.randrange(4)
-    if kind == 0:
-        return CoeffPoly.const(group, rng.choice((1, -1)))
+    """A unit, a signed Euler symbol, a product of two Euler symbols or a
+    small constant, built from its one term."""
+    nontrivial = group.characters()[1:]  # the trivial character sorts first
+    kind = rng.randrange(4) if nontrivial else 0
     if kind == 1:
-        return CoeffPoly.const(group, rng.choice((1, -1))) * CoeffPoly.euler(rng.choice(nontrivial))
-    if kind == 2:
-        return CoeffPoly.euler(rng.choice(nontrivial)) * CoeffPoly.euler(rng.choice(nontrivial))
-    return CoeffPoly.const(group, rng.choice((2, -2, 3)))
+        sign = rng.choice((1, -1))  # drawn before the character
+        term = {((rng.choice(nontrivial).residues, 1),): sign}
+    elif kind == 2:
+        a, b = sorted((rng.choice(nontrivial).residues, rng.choice(nontrivial).residues))
+        term = {((a, 2),) if a == b else ((a, 1), (b, 1)): 1}
+    else:
+        term = {(): rng.choice((1, -1) if kind == 0 else (2, -2, 3))}
+    return CoeffPoly._of(group, term)
 
 
 def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> SymPoly:
@@ -222,8 +243,7 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
         for _ in range(rng.randint(1, 3)):
             m = mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
             c = _random_coeff(rng, flag.group)
-            zero = CoeffPoly.zero(flag.group)
-            terms[m] = terms.get(m, zero) + c
+            terms[m] = terms[m] + c if m in terms else c
         x = SymPoly(flag, shift, terms)
         if not x.is_zero:
             return x
@@ -301,26 +321,25 @@ def check_retraction(cfg: SweepConfig):
                 yield None if back.is_zero else failure(n, x, back, f"({back}) == 0")
 
 
-def _specialized_lift(a: LocFraction, b: LocFraction, assignment: dict, thetas: dict) -> tuple:
-    """The two numerators of lift_to_common(a, b), each specialized by
-    assignment.
+def _specialized_lift(a: LocFraction, b: LocFraction, spec, thetas: dict) -> tuple:
+    """The two numerators of lift_to_common(a, b), each specialized by spec,
+    a coeff.specializer of their group.
 
     Specialization is a ring map, so the numerators and the inverted
     classes are specialized before they are multiplied, not after.  thetas
     maps a character to its specialized class; it fills on first use, so it
     must only ever see fractions over one flag and shift with one
-    assignment.
+    specializer.
     """
 
     def theta(al):
         t = thetas.get(al)
         if t is None:
-            t = thetas[al] = a._theta(al).specialize(assignment)
+            t = thetas[al] = _specialized(a._theta(al), spec)
         return t
 
-    lhs, rhs, _ = _lift(
-        a.num.specialize(assignment), a.denom, b.num.specialize(assignment), b.denom, theta
-    )
+    num_a, num_b = _specialized(a.num, spec), _specialized(b.num, spec)
+    lhs, rhs, _ = _lift(num_a, a.denom, num_b, b.denom, theta)
     return lhs, rhs
 
 
@@ -331,6 +350,7 @@ def check_specialization_collapse(cfg: SweepConfig):
         group = parse_group(gspec)
         flag = Flag.cyclic(group, max(group.order, 2))
         zero_asg = {c: 0 for c in group.characters() if not c.is_trivial}
+        spec = specializer(group, zero_asg)
         beta0 = ProjClass(flag, {0: 1})
         for alpha in group.characters():
             collapsed = coaug(flag, alpha).specialize(zero_asg)
@@ -348,7 +368,7 @@ def check_specialization_collapse(cfg: SweepConfig):
             bare = BExpr(e.flag, e.family, e.terms, {})
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
-            lhs, rhs = _specialized_lift(ya, yb, zero_asg, thetas)
+            lhs, rhs = _specialized_lift(ya, yb, spec, thetas)
             yield None if lhs == rhs else _cx(
                 gspec, flag, f"({lhs}) == ({rhs})", ("--shift", "-2"),
                 fraction=x, collapsed=e.specialize(zero_asg),

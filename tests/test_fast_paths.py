@@ -1,25 +1,29 @@
 """The fast paths of specialization, character arithmetic and interning,
 representations and their Euler classes, the flag stage and
 first-occurrence tables, the kernel-result constructors, the complete-flag
-enumeration and the collapse check's specialize-then-lift, each checked
-against a plain reference written here."""
+enumeration, the collapse check's specialize-then-lift, the coaugmentation
+class, the duality route's shared stage values and the sweeps' random
+draws, each checked against a plain reference written here."""
 
 import itertools
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equibord import symalg
-from equibord.coeff import CoeffPoly, euler_class
+from equibord import symalg, verify
+from equibord.coeff import CoeffPoly, euler_class, specializer
 from equibord.errors import MismatchError, PreconditionError
-from equibord.flags import Flag, ProjClass
+from equibord.flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from equibord.groups import Character, Representation, parse_group
 from equibord.sparse import mono
 from equibord.symalg import BExpr, LocFraction, SymPoly, expand_b, lift_to_common, to_b_generators
 from equibord.verify import (
-    DEFAULT_GROUPS, _complete_flags, _random_dim0_fraction, _specialized_lift,
+    DEFAULT_GROUPS, _complete_flags, _duality_sweep, _mutated_aug, _random_dim0_fraction,
+    _specialized_lift,
 )
 
 GROUPS = ("1", "Z4", "Z2xZ2", "Z2xZ4")
@@ -427,9 +431,187 @@ def test_specialize_then_lift_equals_lift_then_specialize(spec):
         bare = expand_b(BExpr(e.flag, e.family, e.terms, {}), "MUP")
         for a, b in ((x, y), (expand_b(e, "MUP"), bare)):
             lhs, rhs, _ = lift_to_common(a, b)
-            got = _specialized_lift(a, b, zero, thetas)
+            got = _specialized_lift(a, b, specializer(group, zero), thetas)
             assert all(isinstance(p, SymPoly) for p in got)
             assert got == (lhs.specialize(zero), rhs.specialize(zero))
+
+
+# the coaugmentation class -------------------------------------------------------
+
+
+def _residue_loop_coaug(flag: Flag, alpha: Character) -> ProjClass:
+    """coaug with every stage twisted afresh, through the validated constructors."""
+    j = flag.occurrence(alpha)
+    group = flag.group
+    inv = alpha.inverse().residues
+    orders = group.cyclic_orders
+    coeffs = {0: CoeffPoly.one(group)}
+    running = {}
+    for i in range(1, j):
+        rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
+        running[rs] = running.get(rs, 0) + 1
+        coeffs[i] = CoeffPoly(group, {mono(running): 1})
+    return ProjClass(flag, coeffs)
+
+
+def _checked_coaug(seen: list):
+    """coaug that compares its class with the residue loop's, and counts its
+    calls in seen."""
+
+    def closed(flag, alpha):
+        got = coaug(flag, alpha)
+        assert got == _residue_loop_coaug(flag, alpha), (flag, alpha)
+        assert all(c.group is flag.group and all(c.terms.values()) for c in got.coeffs.values())
+        seen.append(1)
+        return got
+
+    return closed
+
+
+# the duality route's shared stage values ----------------------------------------
+
+
+def _unshared_sweep(groups, max_len: int, augmentation) -> tuple:
+    """The duality sweep with every stage value computed afresh in every case."""
+
+    def cases():
+        for gspec in groups:
+            group = parse_group(gspec)
+            for flag in verify._complete_flags(group, max_len):
+                for alpha in group.characters():
+                    closed = coaug(flag, alpha)
+                    dual = coaug_via_duality(flag, alpha, augmentation)
+                    yield None if closed == dual else verify._cx(
+                        gspec, flag, f"({closed}) == ({dual})",
+                        alpha=alpha, closed_form=closed, duality=dual,
+                    )
+
+    return verify._first_failure(cases())
+
+
+def _checked_route(direct, seen: list, share: float = 1.0):
+    """coaug_via_duality that compares the class assembled from the stage
+    values it is given with the one assembled from direct calls, stage by
+    stage, on a fixed seeded sample of about share of its cases, and counts
+    every case in seen."""
+    rng = random.Random("checked-route")
+
+    def route(flag, alpha, augmentation):
+        got = coaug_via_duality(flag, alpha, augmentation)
+        if share >= 1 or rng.random() < share:
+            assert got == coaug_via_duality(flag, alpha, direct), (flag, alpha)
+        seen.append(1)
+        return got
+
+    return route
+
+
+@pytest.mark.parametrize(
+    "spec, max_len, cases, share",
+    [("Z4", 6, 1824, 1), ("Z2xZ2", 6, 1824, 1), ("Z6", 6, 720, 1), ("Z2xZ4", 8, 40320, 1 / 32)],
+)
+def test_both_routes_match_their_references(monkeypatch, spec, max_len, cases, share):
+    # every character of every complete flag: coaug against the residue
+    # loop, and the shared stage values against direct aug calls; on Z2xZ4
+    # the latter only on a sample, as its 362,880 direct calls would make up
+    # most of tier 1 (CI's Z2xZ4 step compares the two routes on all of it)
+    closed, dual = [], []
+    monkeypatch.setattr(verify, "coaug", _checked_coaug(closed))
+    monkeypatch.setattr(verify, "coaug_via_duality", _checked_route(aug, dual, share))
+    assert _duality_sweep((spec,), max_len) == (cases, None)
+    assert len(closed) == len(dual) == cases
+
+
+@pytest.mark.parametrize(
+    "groups, max_len",
+    [(("Z2",), 5), (("Z4",), 5), (("Z4",), 6), (("Z2xZ2", "Z6"), 6), (("Z3", "Z2", "Z4"), 6)],
+)
+@pytest.mark.parametrize("augmentation", [aug, _mutated_aug], ids=["aug", "mutated"])
+def test_shared_sweep_matches_the_unshared_route(groups, max_len, augmentation):
+    got = _duality_sweep(groups, max_len, augmentation)
+    assert got == _unshared_sweep(groups, max_len, augmentation)
+
+
+@st.composite
+def _flag_runs(draw):
+    """A group and a run of complete flags over it, as residue tuples; each
+    flag keeps a prefix of the one before, of any length."""
+    spec = draw(st.sampled_from(("Z2", "Z3", "Z4", "Z2xZ2", "Z6")))
+    chars = [c.residues for c in parse_group(spec).characters()]
+    runs, prev = [], chars[:1]
+    for _ in range(draw(st.integers(1, 6))):
+        body = prev[: draw(st.integers(1, len(prev)))]
+        body += draw(st.lists(st.sampled_from(chars), max_size=4))
+        order = draw(st.permutations(chars[1:]))
+        prev = body + [c for c in order if c not in body]
+        runs.append(prev)
+    return spec, runs
+
+
+@settings(derandomize=True, deadline=None)
+@given(_flag_runs(), st.sampled_from((aug, _mutated_aug)))
+def test_sharing_holds_over_random_flag_runs(run, augmentation):
+    spec, runs = run
+
+    def flags(group, max_len):
+        return (Flag(group, [group.character(rs) for rs in chars]) for chars in runs)
+
+    with mock.patch.object(verify, "_complete_flags", flags):
+        want = _unshared_sweep((spec,), 0, augmentation)
+        seen = []
+        with mock.patch.object(verify, "coaug_via_duality", _checked_route(augmentation, seen)):
+            assert _duality_sweep((spec,), 0, augmentation) == want
+    assert len(seen) == want[0]
+
+
+# the sweeps' random draws -------------------------------------------------------
+
+
+def _arithmetic_random_coeff(rng: random.Random, group) -> CoeffPoly:
+    """The sweeps' coefficient draw through the ring operators."""
+    nontrivial = [c for c in group.characters() if not c.is_trivial]
+    if not nontrivial:
+        return CoeffPoly.const(group, rng.choice((1, -1)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return CoeffPoly.const(group, rng.choice((1, -1)))
+    if kind == 1:
+        return CoeffPoly.const(group, rng.choice((1, -1))) * CoeffPoly.euler(rng.choice(nontrivial))
+    if kind == 2:
+        return CoeffPoly.euler(rng.choice(nontrivial)) * CoeffPoly.euler(rng.choice(nontrivial))
+    return CoeffPoly.const(group, rng.choice((2, -2, 3)))
+
+
+def _arithmetic_random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> SymPoly:
+    """The sweeps' numerator draw, summing coefficients onto a zero."""
+    while True:
+        terms: dict = {}
+        for _ in range(rng.randint(1, 3)):
+            m = mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
+            c = _arithmetic_random_coeff(rng, flag.group)
+            zero = CoeffPoly.zero(flag.group)
+            terms[m] = terms.get(m, zero) + c
+        x = SymPoly(flag, shift, terms)
+        if not x.is_zero:
+            return x
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_random_draws_match_the_ring_arithmetic(spec):
+    group = parse_group(spec)
+    flag = Flag.cyclic(group, 6)
+    for seed in range(3):
+        fast, slow = random.Random(f"draws-{spec}-{seed}"), random.Random(f"draws-{spec}-{seed}")
+        for _ in range(200):
+            got, want = verify._random_coeff(fast, group), _arithmetic_random_coeff(slow, group)
+            assert got == want and got.terms == want.terms
+        assert fast.getstate() == slow.getstate()
+        for _ in range(20):
+            for shift in (-2, 2):
+                for dim in range(5):
+                    got = verify._random_numerator(fast, flag, shift, dim)
+                    assert got == _arithmetic_random_numerator(slow, flag, shift, dim)
+        assert fast.getstate() == slow.getstate()
 
 
 # invariants of the generator rewrite ---------------------------------------
