@@ -19,7 +19,7 @@ from .errors import PreconditionError, SpecParseError
 from .exprs import GRAMMAR_DOC, ExprContext, as_fraction, describe_value, eval_expression
 from .flags import Flag, aug, coaug, parse_flag
 from .groups import parse_character, parse_group, spec_lines
-from .render import shown, shown_json
+from .render import specialized
 from .symalg import THEORIES, presentation, to_b_generators, to_c_generators
 from .verify import default_config, load_config, run_suite
 
@@ -87,25 +87,27 @@ def _context_header(group, flag) -> list:
     ]
 
 
-def _coaug_section(flag, chars, asg) -> tuple:
+def _coaug_section(flag, asg) -> tuple:
     """Text lines and JSON entries for the coaugmentation classes of the
-    characters that occur in the flag."""
-    coaugs = [(al, coaug(flag, al)) for al in chars if flag.first_index(al) is not None]
-    lines = [f"theta[{al}] = {shown(cls, asg)}" for al, cls in coaugs]
-    entries = [{"alpha": str(al), "class": shown_json(cls, asg)} for al, cls in coaugs]
+    characters that occur in the flag, in lexicographic order."""
+    coaugs = [(al, specialized(coaug(flag, al), asg)) for al in sorted(set(flag.chars))]
+    lines = [f"theta[{al}] = {cls}" for al, cls in coaugs]
+    entries = [{"alpha": str(al), "class": cls.to_json()} for al, cls in coaugs]
     return lines, entries
 
 
 def cmd_theta_table(args) -> int:
     group, flag, asg = _resolve_context(args)
     n = flag.length
-    chars = group.characters()
-    rows = [(al, [aug(flag, al, i) for i in range(n + 1)]) for al in chars]
-    coaug_lines, coaug_entries = _coaug_section(flag, chars, asg)
+    rows = [
+        (al, [specialized(aug(flag, al, i), asg) for i in range(n + 1)])
+        for al in group.characters()
+    ]
+    coaug_lines, coaug_entries = _coaug_section(flag, asg)
     lines = _context_header(group, flag)
     lines.append(f"theta(alpha)(y(V_i)) for i = 0..{n}:")
     for al, vals in rows:
-        lines.append(f"{al} | " + " | ".join(shown(v, asg) for v in vals))
+        lines.append(f"{al} | " + " | ".join(map(str, vals)))
     lines.append("coaugmentation classes:")
     lines += coaug_lines
     doc = {
@@ -114,7 +116,7 @@ def cmd_theta_table(args) -> int:
         "flag": [str(c) for c in flag.chars],
         "degree_convention": "homological",
         "augmentations": [
-            {"alpha": str(al), "values": [shown_json(v, asg) for v in vals]}
+            {"alpha": str(al), "values": [v.to_json() for v in vals]}
             for al, vals in rows
         ],
         "coaugmentations": coaug_entries,
@@ -124,7 +126,7 @@ def cmd_theta_table(args) -> int:
 
 def cmd_thetas(args) -> int:
     group, flag, asg = _resolve_context(args)
-    coaug_lines, coaug_entries = _coaug_section(flag, group.characters(), asg)
+    coaug_lines, coaug_entries = _coaug_section(flag, asg)
     doc = {
         "schema": "equibord/thetas/v1",
         "group": str(group),

@@ -32,6 +32,8 @@ from .errors import PreconditionError, SpecParseError
 from .flags import Flag
 from .groups import parse_character
 from .symalg import (
+    FAMILIES,
+    _FAMILY_SHIFT,
     BExpr,
     LocFraction,
     SymPoly,
@@ -65,7 +67,7 @@ class ExprContext:
 
     @property
     def family(self) -> str | None:
-        return {-2: "b", 2: "c"}.get(self.shift)
+        return FAMILIES.get(self.shift)
 
 
 _KINDS = {CoeffPoly: "coeff", SymPoly: "sym", LocFraction: "frac", BExpr: "gen"}
@@ -300,7 +302,7 @@ class _Parser:
     def _check_family(self, family: str):
         if family != self.ctx.family:
             raise PreconditionError(
-                f"{family}-generators live in the shift {-2 if family == 'b' else 2} "
+                f"{family}-generators live in the shift {_FAMILY_SHIFT[family]} "
                 f"ring, but this context has shift {self.ctx.shift} "
                 "(pick the other --shift or --theory)"
             )

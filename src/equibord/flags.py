@@ -15,6 +15,7 @@ from __future__ import annotations
 from .coeff import CoeffPoly, euler_class, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, parse_character
+from .render import join_signed, signed_product
 from .sparse import mono
 
 
@@ -171,8 +172,6 @@ class ProjClass:
         return ProjClass._of(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
 
     def __str__(self):
-        from .render import join_signed, signed_product
-
         parts = []
         for i in sorted(self.coeffs):
             for c, esyms in self.coeffs[i].flat_terms():

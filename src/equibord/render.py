@@ -49,11 +49,7 @@ def flat_terms(terms: dict, key, name: str, fmt, inner) -> list:
     return out
 
 
-def shown(obj, assignment) -> str:
-    """Text of obj, specialized first when an assignment is given."""
-    return str(obj.specialize(assignment)) if assignment else str(obj)
-
-
-def shown_json(obj, assignment):
-    """JSON form of obj, specialized first when an assignment is given."""
-    return (obj.specialize(assignment) if assignment else obj).to_json()
+def specialized(obj, assignment):
+    """obj as displayed: specialized when an assignment is given, else obj
+    itself.  Take its text and its JSON form from this one value."""
+    return obj.specialize(assignment) if assignment else obj

@@ -25,7 +25,7 @@ from .coeff import CoeffPoly, specializer
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, coaug
 from .groups import Character, format_residues
-from .render import flat_terms, format_power, join_signed, shown, signed_product
+from .render import flat_terms, format_power, join_signed, signed_product, specialized
 from .sparse import (
     RingOps, add_terms, divexact_terms, grlex_key, mono, mono_degree, mono_div, mono_mul, mul_terms,
     power, sorted_terms,
@@ -33,6 +33,8 @@ from .sparse import (
 
 SHIFTS = (-2, 0, 2)
 MODES = ("MUP", "mUP")
+FAMILIES = {-2: "b", 2: "c"}  # shift -> its ring's degree-zero generators b_i or c_i
+_FAMILY_SHIFT = {family: shift for shift, family in FAMILIES.items()}
 
 BetaMono = tuple  # a sparse-kernel monomial in beta (or generator) indices
 
@@ -239,9 +241,7 @@ def theta_mul(flag: Flag, alpha: Character, x):
     Raises the dimension degree by 1 and the internal degree by -d.
     Accepts a SymPoly or a LocFraction.
     """
-    if isinstance(x, LocFraction):
-        return LocFraction(theta_mul(flag, alpha, x.num), x.denom, x.mode)
-    if not isinstance(x, SymPoly) or x.flag != flag:
+    if not isinstance(x, (SymPoly, LocFraction)) or x.flag != flag:
         raise MismatchError("operand does not live over the given flag")
     return theta_sym(flag, x.shift, alpha) * x
 
@@ -521,18 +521,18 @@ def dim_degree(a: LocFraction) -> int | None:
 
 class BExpr(_Quotient):
     """Fraction in the degree-zero generators: numerator a polynomial in
-    b_i (family "b", shift -2) or c_i (family "c", shift +2) over the
-    coefficient ring, denominator a product of inverted classes over
-    nontrivial characters.  The trivial inverted class is the unit and is
-    never stored.  The numerator is kept as a SymPoly whose index i stands
-    for the generator b_i or c_i, so it never uses index 0."""
+    b_i or c_i over the coefficient ring, denominator a product of inverted
+    classes over nontrivial characters.  The trivial inverted class is the
+    unit and is never stored.  The numerator is kept as a SymPoly whose
+    index i stands for the generator b_i or c_i, so it never uses index 0;
+    its shift decides the family (FAMILIES)."""
 
-    __slots__ = ("num", "family", "denom")
+    __slots__ = ("num", "denom")
 
     _noun = "generator expression"
 
     def __init__(self, flag: Flag, family: str, terms: dict | None = None, denom: dict | None = None):
-        if family not in ("b", "c"):
+        if family not in _FAMILY_SHIFT:
             raise PreconditionError(f"generator family must be 'b' or 'c', got {family!r}")
         terms = terms or {}
         for m in terms:
@@ -543,8 +543,7 @@ class BExpr(_Quotient):
                     )
                 if k < 1:
                     raise PreconditionError("nonpositive generator exponent")
-        self.num = SymPoly(flag, -2 if family == "b" else 2, terms)
-        self.family = family
+        self.num = SymPoly(flag, _FAMILY_SHIFT[family], terms)
         self.denom = self._valid_denom(denom)
 
     @staticmethod
@@ -552,10 +551,10 @@ class BExpr(_Quotient):
         return not alpha.is_trivial  # the trivial inverted class is the unit
 
     @classmethod
-    def _of(cls, num: SymPoly, family: str, denom: dict) -> "BExpr":
+    def _of(cls, num: SymPoly, denom: dict) -> "BExpr":
         """Wrap a numerator and a denominator that are already valid."""
         e = object.__new__(cls)
-        e.num, e.family, e.denom = num, family, denom
+        e.num, e.denom = num, denom
         return e
 
     @property
@@ -563,8 +562,10 @@ class BExpr(_Quotient):
         return self.num.terms
 
     @property
-    def _name(self) -> str:
-        return self.family
+    def family(self) -> str:
+        return FAMILIES[self.num.shift]
+
+    _name = family
 
     @property
     def _theta_name(self) -> str:
@@ -601,7 +602,7 @@ class BExpr(_Quotient):
         return None
 
     def _like(self, num: SymPoly, denom: dict) -> "BExpr":
-        return BExpr._of(num, self.family, denom)
+        return BExpr._of(num, denom)
 
     def _theta(self, alpha: Character) -> SymPoly:
         return btheta_expansion(self.flag, self.family, alpha).num
@@ -620,7 +621,6 @@ class BExpr(_Quotient):
         """Structural equality of the stored form (same terms, same denominator)."""
         return (
             isinstance(other, BExpr)
-            and self.family == other.family
             and self.num == other.num
             and self.denom == other.denom
         )
@@ -654,7 +654,8 @@ def btheta_expansion(flag: Flag, family: str, alpha: Character) -> BExpr:
     return BExpr(flag, family, terms, {})
 
 
-def _to_generators(a: LocFraction, family: str) -> BExpr:
+def _to_generators(a: LocFraction) -> BExpr:
+    family = FAMILIES[a.num.shift]
     if a.num.is_zero:
         return BExpr.zero(a.num.flag, family)
     d = dim_degree(a)
@@ -681,14 +682,14 @@ def to_b_generators(a: LocFraction) -> BExpr:
     """
     if a.num.shift != -2:
         raise PreconditionError("b-generators live in the shift -2 ring")
-    return _to_generators(a, "b")
+    return _to_generators(a)
 
 
 def to_c_generators(a: LocFraction) -> BExpr:
     """Rewrite a dimension-0 fraction in the c-generators (shift +2 ring)."""
     if a.num.shift != 2:
         raise PreconditionError("c-generators live in the shift +2 ring")
-    return _to_generators(a, "c")
+    return _to_generators(a)
 
 
 def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
@@ -760,18 +761,18 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
             {
                 "symbol": f"theta[{al}]",
                 "degree": -d,
-                "expansion": shown(theta_sym(flag, d, al), assignment),
+                "expansion": str(specialized(theta_sym(flag, d, al), assignment)),
             }
             for al in inverts
         ]
     else:
-        family = "b" if d == -2 else "c"
+        family = FAMILIES[d]
         gens = [{"symbol": f"{family}[{i}]", "degree": 2 * i} for i in range(1, flag.length + 1)]
         inverted = [
             {
                 "symbol": f"{family}theta[{al}]",
                 "degree": 0,
-                "expansion": shown(btheta_expansion(flag, family, al), assignment),
+                "expansion": str(specialized(btheta_expansion(flag, family, al), assignment)),
             }
             for al in inverts
             if not al.is_trivial

@@ -18,6 +18,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
+from . import symalg
 from .coeff import CoeffPoly, euler_class, specializer
 from .errors import SpecParseError
 from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
@@ -56,6 +57,15 @@ DEFAULT_GROUPS = (
 )
 
 
+def _check_field(name: str, value):
+    """Raise unless value is allowed for the SweepConfig field name."""
+    if name == "groups":
+        if not value:
+            raise SpecParseError("groups must be nonempty")
+    elif name != "rng_seed" and value < 1:
+        raise SpecParseError(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     groups: tuple = DEFAULT_GROUPS
@@ -67,12 +77,7 @@ class SweepConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name in ("groups", "rng_seed"):
-                continue
-            if getattr(self, f.name) < 1:
-                raise SpecParseError(f"{f.name} must be at least 1")
-        if not self.groups:
-            raise SpecParseError("groups must be nonempty")
+            _check_field(f.name, getattr(self, f.name))
 
     def to_json(self) -> dict:
         return {**asdict(self), "groups": list(self.groups)}
@@ -264,18 +269,18 @@ def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
 @_check
 def check_rewrite_roundtrip(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
-    routes = (("MUP", -2, "b"), ("mUP", 2, "c"), ("MUP", 2, "c"))
+    routes = (("MUP", -2), ("mUP", 2), ("MUP", 2))
     for gspec in cfg.groups:
         group = parse_group(gspec)
         flag = Flag.cyclic(group, cfg.max_flag_len)
-        for mode, shift, family in routes:
+        for mode, shift in routes:
             one = LocFraction(SymPoly.one(flag, shift), {}, mode)
             samples = [one] + [
                 _random_dim0_fraction(rng, flag, shift, mode, cfg.max_dimension)
                 for _ in range(cfg.random_cases)
             ]
             for x in samples:
-                e = to_b_generators(x) if family == "b" else to_c_generators(x)
+                e = to_b_generators(x) if shift == -2 else to_c_generators(x)
                 y = expand_b(e, x.mode)
                 yield None if frac_eq(y, x) else _cx(
                     gspec, flag, f"({x}) == ({y})", ("--shift", str(shift), "--theory", mode),
@@ -327,19 +332,11 @@ def _specialized_lift(a: LocFraction, b: LocFraction, spec, thetas: dict) -> tup
 
     Specialization is a ring map, so the numerators and the inverted
     classes are specialized before they are multiplied, not after.  thetas
-    maps a character to its specialized class; it fills on first use, so it
-    must only ever see fractions over one flag and shift with one
-    specializer.
+    maps each character of the two denominators to its inverted class,
+    already specialized by spec.
     """
-
-    def theta(al):
-        t = thetas.get(al)
-        if t is None:
-            t = thetas[al] = _specialized(a._theta(al), spec)
-        return t
-
     num_a, num_b = _specialized(a.num, spec), _specialized(b.num, spec)
-    lhs, rhs, _ = _lift(num_a, a.denom, num_b, b.denom, theta)
+    lhs, rhs, _ = _lift(num_a, a.denom, num_b, b.denom, thetas.__getitem__)
     return lhs, rhs
 
 
@@ -348,11 +345,12 @@ def check_specialization_collapse(cfg: SweepConfig):
     rng = random.Random(cfg.rng_seed)
     for gspec in cfg.groups:
         group = parse_group(gspec)
+        alphas = group.characters()
         flag = Flag.cyclic(group, max(group.order, 2))
-        zero_asg = {c: 0 for c in group.characters() if not c.is_trivial}
+        zero_asg = {c: 0 for c in alphas if not c.is_trivial}
         spec = specializer(group, zero_asg)
         beta0 = ProjClass(flag, {0: 1})
-        for alpha in group.characters():
+        for alpha in alphas:
             collapsed = coaug(flag, alpha).specialize(zero_asg)
             yield None if collapsed == beta0 else _cx(
                 gspec, flag, f"({collapsed}) == beta[0]", alpha=alpha, collapsed=collapsed
@@ -361,7 +359,8 @@ def check_specialization_collapse(cfg: SweepConfig):
             yield None if bth == BExpr.one(flag, "b") else _cx(
                 gspec, flag, f"({bth}) == 1", ("--shift", "-2"), alpha=alpha, collapsed=bth
             )
-        thetas: dict = {}
+        # theta_sym is read through its module, so that a patched one is checked
+        thetas = {al: _specialized(symalg.theta_sym(flag, -2, al), spec) for al in alphas}
         for _ in range(cfg.random_cases):
             x = _random_dim0_fraction(rng, flag, -2, "MUP", cfg.max_dimension)
             e = to_b_generators(x)
@@ -475,21 +474,21 @@ def load_config(path: str) -> SweepConfig:
     values: dict = {}
     int_keys = {f.name for f in fields(SweepConfig)} - {"groups"}
     for where, key, val in spec_lines(path, "config", "key = value"):
-        if key in values:
-            raise SpecParseError(f"{where}: duplicate key {key!r}")
-        if key == "groups":
-            groups = tuple(g.strip() for g in val.split(",") if g.strip())
-            try:
-                for g in groups:
+        try:
+            if key in values:
+                raise SpecParseError(f"duplicate key {key!r}")
+            if key == "groups":
+                values[key] = tuple(g.strip() for g in val.split(",") if g.strip())
+                for g in values[key]:
                     parse_group(g)
-            except SpecParseError as exc:
-                raise SpecParseError(f"{where}: {exc}") from None
-            values["groups"] = groups
-        elif key in int_keys:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise SpecParseError(f"{where}: {key} needs an integer") from None
-        else:
-            raise SpecParseError(f"{where}: unknown key {key!r}")
+            elif key in int_keys:
+                try:
+                    values[key] = int(val)
+                except ValueError:
+                    raise SpecParseError(f"{key} needs an integer") from None
+            else:
+                raise SpecParseError(f"unknown key {key!r}")
+            _check_field(key, values[key])
+        except SpecParseError as exc:
+            raise SpecParseError(f"{where}: {exc}") from None
     return SweepConfig(**values)

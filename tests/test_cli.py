@@ -119,6 +119,36 @@ def test_rewrite_json_schema(capsys):
     assert doc["result"]["denominator"] == [{"alpha": "(1)", "power": 2}]
 
 
+def test_rewrite_specialized_json_schema(capsys, tmp_path):
+    sp = tmp_path / "sp.txt"
+    sp.write_text("e[(1)] = 0\n")
+    doc = run_json(
+        capsys,
+        "rewrite", "--theory", "MU", "--group", "Z2",
+        "--flag", "(0),(1)", "--specialize", str(sp),
+        "--expr", "(beta[1]*beta[2] + e[(1)]*beta[0]*beta[1])/theta[(1)]^2",
+    )
+    validate(doc)
+    assert doc["result"]["text"] == "(b[1] * b[2] + e[(1)] * b[1]) / btheta[(1)]^2"
+    assert doc["specialized"] == {
+        "text": "b[1] * b[2] / btheta[(1)]^2",
+        "family": "b",
+        "numerator": [{"coeff": 1, "euler": {}, "generators": {"1": 1, "2": 1}}],
+        "denominator": [{"alpha": "(1)", "power": 2}],
+    }
+
+
+def test_rewrite_of_zero(capsys):
+    # the zero fraction rewrites to the zero expression of the shift's family
+    for theory, shift, family in (("MU", "-2", "b"), ("MU", "2", "c"), ("mU", "2", "c")):
+        argv = ("rewrite", "--theory", theory, "--group", "Z2", "--truncate", "2",
+                "--shift", shift, "--expr", "0")
+        assert run(capsys, *argv) == (0, "0\n", "")
+        doc = run_json(capsys, *argv)
+        validate(doc)
+        assert doc["result"] == {"text": "0", "family": family, "numerator": [], "denominator": []}
+
+
 def test_rewrite_mu_connective_route(capsys):
     rc, out, _ = run(
         capsys,
@@ -300,6 +330,27 @@ def test_specialize_diagnostics(capsys, tmp_path):
         "--specialize", str(tmp_path / "missing.txt"),
     )
     assert rc == 2
+
+
+# (argv, assignment file text or None, message) of requests that exit 2 with
+# one error line; {sp} stands for the assignment file's path
+REQUEST_ERRORS = [
+    (("thetas", "--group", "Z2", "--truncate", "0"), None, "--truncate must be at least 1"),
+    (("thetas", "--group", "Z2", "--truncate", "2", "--specialize", "{sp}"), "beta[1] = 0\n",
+     "{sp}:1: left side must be an Euler symbol e[(...)]"),
+    (("rewrite", "--theory", "MU", "--group", "Z2", "--truncate", "2", "--expr", "beta[0] == 1"),
+     None, "rewrite expects a fraction, not a comparison"),
+]
+
+
+@pytest.mark.parametrize("argv, text, message", REQUEST_ERRORS,
+                         ids=["truncate-0", "assignment-lhs", "rewrite-comparison"])
+def test_request_errors_exit_2(capsys, tmp_path, argv, text, message):
+    sp = tmp_path / "sp.txt"
+    if text is not None:
+        sp.write_text(text)
+    rc, out, err = run(capsys, *(a.replace("{sp}", str(sp)) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: {message.replace('{sp}', str(sp))}\n")
 
 
 def test_unreadable_input_files_exit_2(capsys, tmp_path):

@@ -423,7 +423,7 @@ def test_specialize_then_lift_equals_lift_then_specialize(spec):
     flag = Flag.cyclic(group, max(group.order, 2))
     zero = {c: 0 for c in group.characters() if not c.is_trivial}
     rng = random.Random(f"collapse-{spec}")
-    thetas: dict = {}
+    thetas = {al: symalg.theta_sym(flag, -2, al).specialize(zero) for al in group.characters()}
     for _ in range(6):
         x = _random_dim0_fraction(rng, flag, -2, "MUP", 4)
         y = _random_dim0_fraction(rng, flag, -2, "MUP", 4)

@@ -357,3 +357,24 @@ def test_fraction_rendering():
     two = LocFraction(b0() + b1(), {SIG: 2, Z2.identity: 1})
     assert str(two) == "(beta[0] + beta[1]) / (theta[(0)] * theta[(1)]^2)"
     assert str(LocFraction(SymPoly.zero(F2, -2), {SIG: 1})) == "0"
+
+
+# (left operand, right operand, message) of operands whose contexts differ
+F3 = parse_flag(Z2, "(0),(1),(0)")
+CONTEXT_MISMATCHES = [
+    (LocFraction(b1()), LocFraction(SymPoly.var(F3, -2, 1)), "fractions over different flags"),
+    (LocFraction(b1()), LocFraction(b1(2)), "fractions over different shifts"),
+    (LocFraction(b1(2)), LocFraction(b1(2), {}, "mUP"), "fractions in different localization modes"),
+    (BExpr.generator(F2, "b", 1), BExpr.generator(F3, "b", 1), "operands over different flags"),
+    (BExpr.generator(F2, "b", 1), BExpr.generator(F2, "c", 1),
+     "operands over different generator families"),
+]
+
+
+@pytest.mark.parametrize("a, b, message", CONTEXT_MISMATCHES,
+                         ids=["frac-flags", "frac-shifts", "frac-modes", "gen-flags", "gen-families"])
+def test_operands_of_different_contexts_are_refused(a, b, message):
+    for op in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(MismatchError) as excinfo:
+            op(a, b)
+        assert str(excinfo.value) == message

@@ -125,13 +125,19 @@ def test_load_config_diagnostics(tmp_path, capsys):
     p.write_text("max_flag_len = four\n")
     with pytest.raises(SpecParseError, match="integer"):
         load_config(str(p))
-    p.write_text("groups = Z2, nope\n")
-    message = f"{p}:1: bad cyclic factor 'nope' in group 'nope'"
-    with pytest.raises(SpecParseError) as excinfo:
-        load_config(str(p))
-    assert str(excinfo.value) == message
-    assert main(["verify", "--config", str(p)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # a bad value names its file and line, as every other config error does
+    for text, reason in (
+        ("groups = Z2, nope\n", "bad cyclic factor 'nope' in group 'nope'"),
+        ("max_flag_len = 0\n", "max_flag_len must be at least 1"),
+        ("groups =\n", "groups must be nonempty"),
+    ):
+        p.write_text(text)
+        message = f"{p}:1: {reason}"
+        with pytest.raises(SpecParseError) as excinfo:
+            load_config(str(p))
+        assert str(excinfo.value) == message
+        assert main(["verify", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_config_rejects_a_repeated_key(tmp_path, capsys):
