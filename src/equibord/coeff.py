@@ -209,7 +209,7 @@ def euler_class(rep: Representation) -> CoeffPoly:
     sorted by residues, so each exponent is the length of a run of equal
     summands and the runs come in monomial order."""
     if rep.contains_trivial:
-        return CoeffPoly.zero(rep.group)
+        return CoeffPoly._of(rep.group, {})
     runs = []
     prev = None
     for c in rep.summands:
@@ -222,4 +222,4 @@ def euler_class(rep: Representation) -> CoeffPoly:
             prev, k = rs, 1
     if prev is not None:
         runs.append((prev, k))
-    return CoeffPoly(rep.group, {tuple(runs): 1})
+    return CoeffPoly._of(rep.group, {tuple(runs): 1})

@@ -24,10 +24,11 @@ class Flag:
 
     The first-occurrence table (character -> 1-based index, in order of
     first occurrence) is built with the flag; the stage representations
-    V_0..V_N are built together on the first call to rep.
+    V_0..V_N are built together on the first call to rep.  _thetas keeps
+    the inverted classes that symalg builds over the flag.
     """
 
-    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages")
+    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages", "_thetas")
 
     def __init__(self, group: AbelianGroup, chars):
         cs = tuple(chars)
@@ -38,15 +39,27 @@ class Flag:
                 raise MismatchError(f"flag entry {c!r} does not belong to {group}")
         if not cs[0].is_trivial:
             raise PreconditionError("the first flag character must be trivial")
+        self._fill(group, cs)
+
+    @classmethod
+    def _of(cls, group: AbelianGroup, chars: tuple) -> "Flag":
+        """Wrap a nonempty tuple of group's characters, the first trivial,
+        such as one drawn from group.characters(); nothing is checked."""
+        flag = object.__new__(cls)
+        flag._fill(group, chars)
+        return flag
+
+    def _fill(self, group: AbelianGroup, cs: tuple):
         self.group = group
         self.chars = cs
         self.length = len(cs)
-        self._hash = hash((group.cyclic_orders, tuple(c.residues for c in cs)))
+        self._hash = hash((group.cyclic_orders, cs))
         first: dict[Character, int] = {}
         for i, c in enumerate(cs, start=1):
             first.setdefault(c, i)
         self._first = first
         self._stages: tuple | None = None
+        self._thetas: dict = {}
 
     @classmethod
     def cyclic(cls, group: AbelianGroup, length: int) -> "Flag":
@@ -202,19 +215,26 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     classes on beta_1, beta_2, ..., cut off at the first occurrence of alpha.
 
     Defined only when alpha occurs in the truncated flag, which is exactly
-    when the expansion is finite.
+    when the expansion is finite.  The twists are residue sums, read from
+    the group's table of them and computed on a miss, never through the
+    character products that the augmentation route uses.
     """
     j = flag.occurrence(alpha)
     group = flag.group
     inv = alpha.inverse().residues
-    orders = group.cyclic_orders
+    sums = group._residue_sums.setdefault(inv, {})
     coeffs: dict[int, CoeffPoly] = {0: CoeffPoly._of(group, {(): 1})}
     running: dict[tuple, int] = {}
     for i in range(1, j):
-        rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
+        chi = flag.chars[i - 1].residues
+        rs = sums.get(chi)
+        if rs is None:
+            rs = sums[chi] = tuple((a + b) % n for a, b, n in zip(inv, chi, group.cyclic_orders))
         running[rs] = running.get(rs, 0) + 1
         coeffs[i] = CoeffPoly._of(group, {mono(running): 1})
-    return ProjClass._of(flag, coeffs)
+    x = object.__new__(ProjClass)  # no coefficient is zero, so none to drop
+    x.flag, x.coeffs = flag, coeffs
+    return x
 
 
 def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjClass:

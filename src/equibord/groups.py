@@ -33,8 +33,11 @@ class AbelianGroup:
     # fills on first use, so even a huge group costs nothing per character
     # until its characters are asked for.  _characters is the tuple of all of
     # them, enumerated on the first call to characters().  _euler_key is the
-    # coefficient ring's graded-lex key, built by coeff on first use.
-    __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key")
+    # coefficient ring's graded-lex key, built by coeff on first use, and
+    # _nontrivial the nontrivial characters the verify sweeps draw from.
+    # _residue_sums[a][b] is the residue sum a + b, filled on demand by coaug.
+    __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key",
+                 "_nontrivial", "_residue_sums")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -43,7 +46,8 @@ class AbelianGroup:
         self.cyclic_orders = orders
         self._interned: dict[tuple, Character] = {}
         self._characters: tuple | None = None
-        self._euler_key = None
+        self._euler_key = self._nontrivial = None
+        self._residue_sums: dict[tuple, dict] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 
     @property
@@ -196,8 +200,13 @@ class Representation:
         return bool(self.summands) and not any(self.summands[0].residues)
 
     def tensor(self, alpha: Character) -> "Representation":
-        """Twist every summand by the character alpha."""
-        return Representation(self.group, [alpha * c for c in self.summands])
+        """Twist every summand by the character alpha, reading the products
+        alpha remembers, which are keyed by residues, after one group check."""
+        if alpha.group is not self.group and alpha.group != self.group:
+            raise MismatchError("characters of different groups")
+        known = alpha._products
+        twisted = [known.get(c.residues) or alpha * c for c in self.summands]
+        return Representation(self.group, twisted)
 
     def __repr__(self):
         return f"Representation({self.group}, {self.summands!r})"

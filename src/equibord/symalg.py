@@ -19,7 +19,7 @@ expanding as 1 + sum_{i>=1} aug(alpha, i) * b_i.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 
 from .coeff import CoeffPoly, specializer
 from .errors import MismatchError, PreconditionError
@@ -228,7 +228,20 @@ def _specialized(x: SymPoly, spec) -> SymPoly:
     return SymPoly._of(x.flag, x.shift, {m: spec(c) for m, c in x.terms.items()})
 
 
-@lru_cache(maxsize=None)
+def _kept_on_flag(build):
+    """build(flag, *args), built once per flag and kept on that flag."""
+
+    @wraps(build)
+    def kept(flag: Flag, *args):
+        key = (build, *args)
+        if key not in flag._thetas:
+            flag._thetas[key] = build(flag, *args)
+        return flag._thetas[key]
+
+    return kept
+
+
+@_kept_on_flag
 def theta_sym(flag: Flag, shift: int, alpha: Character) -> SymPoly:
     """The coaugmentation class of alpha embedded as a dimension-degree-1
     element: the basis vector beta_i becomes the variable beta_i."""
@@ -422,6 +435,14 @@ class LocFraction(_Quotient):
         self.mode = mode
         self.denom = self._valid_denom(denom)
 
+    @classmethod
+    def _of(cls, num: SymPoly, denom: dict, mode: str) -> "LocFraction":
+        """Wrap a denominator that mode may invert over num's flag, such as
+        one merged from operands' denominators, dropping zero exponents only."""
+        x = object.__new__(cls)
+        x.num, x.mode, x.denom = num, mode, {al: k for al, k in denom.items() if k}
+        return x
+
     def _admit(self, alpha: Character) -> bool:
         if self.mode == "mUP" and not alpha.is_trivial:
             raise PreconditionError(
@@ -445,7 +466,7 @@ class LocFraction(_Quotient):
         return None if rhs is None else LocFraction(rhs, {}, self.mode)
 
     def _like(self, num: SymPoly, denom: dict) -> "LocFraction":
-        return LocFraction(num, denom, self.mode)
+        return LocFraction._of(num, denom, self.mode)
 
     def _theta(self, alpha: Character) -> SymPoly:
         return theta_sym(self.num.flag, self.num.shift, alpha)
@@ -641,7 +662,7 @@ class BExpr(_Quotient):
         return f"BExpr({self.family}, {self})"
 
 
-@lru_cache(maxsize=None)
+@_kept_on_flag
 def btheta_expansion(flag: Flag, family: str, alpha: Character) -> BExpr:
     """The inverted class in generator coordinates: the coefficients of
     coaug(flag, alpha), with beta_0 -> 1 and beta_i -> b_i (or c_i), which
@@ -711,7 +732,10 @@ def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
     denom: dict = dict(e.denom)
     if K - F:
         denom[flag.group.identity] = K - F
-    return LocFraction(SymPoly._of(flag, shift, terms), denom, mode)
+    num = SymPoly._of(flag, shift, terms)
+    if mode == "MUP":  # which inverts the class of every character in e's flag
+        return LocFraction._of(num, denom, mode)
+    return LocFraction(num, denom, mode)
 
 
 def invertible_characters(flag: Flag, mode: str) -> list:

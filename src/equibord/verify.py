@@ -15,7 +15,6 @@ import functools
 import itertools
 import random
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
 from . import symalg
@@ -167,7 +166,7 @@ def _complete_flags(group, max_len: int):
 
     def extend(left: int, missing: int):
         if not left:
-            yield Flag(group, prefix)
+            yield Flag._of(group, tuple(prefix))
             return
         for i, c in enumerate(chars):
             lacking = missing - (not uses[i])
@@ -228,7 +227,9 @@ def check_coaug_duality(cfg: SweepConfig):
 def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     """A unit, a signed Euler symbol, a product of two Euler symbols or a
     small constant, built from its one term."""
-    nontrivial = group.characters()[1:]  # the trivial character sorts first
+    nontrivial = group._nontrivial
+    if nontrivial is None:  # the trivial character sorts first
+        nontrivial = group._nontrivial = tuple(group.characters()[1:])
     kind = rng.randrange(4) if nontrivial else 0
     if kind == 1:
         sign = rng.choice((1, -1))  # drawn before the character
@@ -241,29 +242,39 @@ def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     return CoeffPoly._of(group, term)
 
 
+def _counts(items) -> dict:
+    """{item: number of occurrences}, in order of first occurrence."""
+    counts: dict = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
 def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> SymPoly:
     """Random nonzero dimension-homogeneous polynomial of the given dimension."""
     while True:
         terms: dict = {}
         for _ in range(rng.randint(1, 3)):
-            m = mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
+            m = mono(_counts(rng.randint(0, flag.length) for _ in range(dim)))
             c = _random_coeff(rng, flag.group)
             terms[m] = terms[m] + c if m in terms else c
-        x = SymPoly(flag, shift, terms)
+        # beta indices in 0..N, positive exponents, coefficients over the group
+        x = SymPoly._of(flag, shift, terms)
         if not x.is_zero:
             return x
 
 
 def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:
+    """{character: positive exponent} over characters that mode inverts."""
     alphas = invertible_characters(flag, mode)
-    return Counter(rng.choice(alphas) for _ in range(total))
+    return _counts(rng.choice(alphas) for _ in range(total))
 
 
 def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
     total = rng.randint(0, max_dim)
     denom = _random_denominator(rng, flag, mode, total)
     num = _random_numerator(rng, flag, shift, total)
-    return LocFraction(num, denom, mode)
+    return LocFraction._of(num, denom, mode)
 
 
 @_check
@@ -288,6 +299,17 @@ def check_rewrite_roundtrip(cfg: SweepConfig):
                 )
 
 
+def _basis_monomials(flag: Flag, shift: int, low: int, n: int) -> list:
+    """Every monomial of dimension n in beta_low..beta_N, with coefficient 1,
+    in the order of itertools.combinations_with_replacement."""
+    one = CoeffPoly._of(flag.group, {(): 1})
+    # a combination is sorted, so its runs, in order, are its monomial
+    return [
+        SymPoly._of(flag, shift, {tuple(_counts(combo).items()): one})
+        for combo in itertools.combinations_with_replacement(range(low, flag.length + 1), n)
+    ]
+
+
 @_check
 def check_retraction(cfg: SweepConfig):
     shift = -2
@@ -303,8 +325,7 @@ def check_retraction(cfg: SweepConfig):
             )
 
         for n in range(0, cfg.max_dimension + 1):
-            monos = itertools.combinations_with_replacement(range(flag.length + 1), n)
-            xs = [SymPoly(flag, shift, {mono(Counter(combo)): 1}) for combo in monos]
+            xs = _basis_monomials(flag, shift, 0, n)
             # a few random coefficient-linear combinations per dimension
             for _ in range(3):
                 if xs:
@@ -318,10 +339,7 @@ def check_retraction(cfg: SweepConfig):
                 back = retract(theta_mul(flag, eps, x), n)
                 yield None if back == x else failure(n, x, back, f"({back}) == ({x})")
             # monomials without beta_0 retract to zero
-            for combo in itertools.combinations_with_replacement(
-                range(1, flag.length + 1), n + 1
-            ):
-                x = SymPoly(flag, shift, {mono(Counter(combo)): 1})
+            for x in _basis_monomials(flag, shift, 1, n + 1):
                 back = retract(x, n)
                 yield None if back.is_zero else failure(n, x, back, f"({back}) == 0")
 
@@ -401,11 +419,11 @@ def check_periodicity(cfg: SweepConfig):
                 extra = rng.randint(0, 2)
                 denom = _random_denominator(rng, flag, mode, total)
                 num = _random_numerator(rng, flag, shift, total + extra)
-                a = LocFraction(num, denom, mode)
+                a = LocFraction._of(num, denom, mode)
                 alpha = rng.choice(alphas)
                 lifted = dict(a.denom)
                 lifted[alpha] = lifted.get(alpha, 0) + 1
-                y = LocFraction(a.num, lifted, mode)
+                y = LocFraction._of(a.num, lifted, mode)
                 yield None if frac_eq(theta_mul(flag, alpha, y), a) else _cx(
                     gspec, flag, f"theta[{alpha}] * ({y}) == ({a})",
                     ("--shift", str(shift), "--theory", mode), mode=mode, alpha=alpha, fraction=a,

@@ -2,8 +2,9 @@
 representations and their Euler classes, the flag stage and
 first-occurrence tables, the kernel-result constructors, the complete-flag
 enumeration, the collapse check's specialize-then-lift, the coaugmentation
-class, the duality route's shared stage values and the sweeps' random
-draws, each checked against a plain reference written here."""
+class, the duality route's shared stage values, the sweeps' random
+draws and the constructors that skip validation, each checked against a
+plain reference written here."""
 
 import itertools
 import random
@@ -20,10 +21,12 @@ from equibord.errors import MismatchError, PreconditionError
 from equibord.flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from equibord.groups import Character, Representation, parse_group
 from equibord.sparse import mono
-from equibord.symalg import BExpr, LocFraction, SymPoly, expand_b, lift_to_common, to_b_generators
+from equibord.symalg import (
+    BExpr, LocFraction, SymPoly, expand_b, invertible_characters, lift_to_common, to_b_generators,
+)
 from equibord.verify import (
-    DEFAULT_GROUPS, _complete_flags, _duality_sweep, _mutated_aug, _random_dim0_fraction,
-    _specialized_lift,
+    DEFAULT_GROUPS, _basis_monomials, _complete_flags, _duality_sweep, _mutated_aug,
+    _random_dim0_fraction, _specialized_lift,
 )
 
 GROUPS = ("1", "Z4", "Z2xZ2", "Z2xZ4")
@@ -296,6 +299,23 @@ def test_representations_and_euler_classes_match_the_counting_definition(spec):
         assert Counter(Representation(group, chars).summands) == Counter(chars)
 
 
+def test_tensor_checks_the_group_even_after_a_product_is_remembered():
+    z4, z5 = parse_group("Z4"), parse_group("Z5")
+    rep = Representation(z4, [z4.character((1,)), z4.character((3,))])
+    alpha = z4.character((1,))
+    assert [c.residues for c in rep.tensor(alpha).summands] == [(0,), (2,)]
+    twin = parse_group("Z4").character((1,))
+    assert rep.tensor(twin).summands == rep.tensor(alpha).summands
+    # products of a Z5 character remembered under the residues (1,) and (3,)
+    foreign = z5.character((1,))
+    assert foreign * z5.character((1,)) is z5.character((2,))
+    assert foreign * z5.character((3,)) is z5.character((4,))
+    with pytest.raises(MismatchError, match="^characters of different groups$"):
+        rep.tensor(foreign)
+    with pytest.raises(MismatchError, match="^characters of different groups$"):
+        Representation(z5, [z5.character((1,))]).tensor(alpha)
+
+
 # flag tables -----------------------------------------------------------------
 
 
@@ -338,6 +358,21 @@ def test_first_occurrence_table_matches_a_linear_scan(spec):
             flag.occurrence(foreign.identity)
 
 
+@pytest.mark.parametrize("spec", ("Z4", "Z2xZ2"))
+def test_unchecked_flags_equal_the_validated_ones(spec):
+    group = parse_group(spec)
+    flags = list(_complete_flags(group, 6))
+    assert len(flags) == 456  # 1,824 duality cases over 4 characters
+    for flag in flags:
+        unchecked = Flag._of(group, flag.chars)
+        copied = Flag(group, [Character(group, c.residues) for c in flag.chars])
+        for checked in (Flag(group, flag.chars), copied):
+            assert unchecked == checked and hash(unchecked) == hash(checked)
+            assert list(unchecked._first.items()) == list(checked._first.items())
+            for i in range(flag.length + 1):
+                assert unchecked.rep(i).summands == checked.rep(i).summands
+
+
 # kernel-result constructors ------------------------------------------------------
 
 
@@ -373,6 +408,34 @@ def test_public_sympoly_construction_keeps_every_check():
     with pytest.raises(PreconditionError, match="^shift must be one of"):
         SymPoly(flag, 1, {})
     assert SymPoly(flag, 2, {((1, 1),): 0, (): 2}).terms == {(): CoeffPoly.const(z4, 2)}
+
+
+def _fields(x: LocFraction) -> tuple:
+    return x.num.flag, x.num.shift, x.num.terms, x.denom, x.mode
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_unchecked_fractions_equal_the_validated_ones(spec):
+    group = parse_group(spec)
+    flag = Flag.cyclic(group, 4)
+    zero = {c: 0 for c in group.characters() if not c.is_trivial}
+    rng = random.Random(f"fractions-{spec}")
+    for shift, mode in ((-2, "MUP"), (2, "MUP"), (2, "mUP")):
+        xs = [_random_dim0_fraction(rng, flag, shift, mode, 3) for _ in range(8)]
+        results = list(xs)
+        for x, y in zip(xs, xs[1:]):
+            results += [x * y, x + y, -x, x**2, x**0, x.specialize(zero)]
+        if shift == -2:
+            results += [expand_b(to_b_generators(x), mode) for x in xs]
+        for got in results:
+            assert _fields(got) == _fields(LocFraction(got.num, got.denom, mode))
+        # zero exponents are dropped, as the validated constructor drops them
+        padded = {al: 0 for al in invertible_characters(flag, mode)}
+        for x in xs:
+            denom = {**padded, **x.denom}
+            got = LocFraction._of(x.num, denom, mode)
+            assert _fields(got) == _fields(LocFraction(x.num, denom, mode))
+            assert 0 not in got.denom.values()
 
 
 # complete flags ---------------------------------------------------------------
@@ -466,6 +529,44 @@ def _checked_coaug(seen: list):
         return got
 
     return closed
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_coaug_matches_the_residue_loop(spec):
+    # every character over the default flags of every length up to twice the
+    # group order and over seeded random ones, some of validated characters;
+    # the twists come from the group's residue sums, filled as they go
+    group = parse_group(spec)
+    twin = parse_group(spec)
+    flags = [Flag.cyclic(group, n) for n in range(1, 2 * group.order + 1)]
+    flags += _repeating_flags(group, random.Random(f"coaug-{spec}"))
+    flags += [Flag(group, [Character(group, c.residues) for c in f.chars]) for f in flags[-6:]]
+    for flag in flags:
+        for alpha in group.characters() + [Character(twin, group.characters()[-1].residues)]:
+            if flag.first_index(alpha) is None:
+                with pytest.raises(PreconditionError, match="does not occur"):
+                    coaug(flag, alpha)
+                continue
+            got = coaug(flag, alpha)
+            assert got == _residue_loop_coaug(flag, alpha) and got.flag is flag
+            assert all(c.group is group and all(c.terms.values()) for c in got.coeffs.values())
+
+
+def test_coaug_over_a_huge_group_allocates_no_per_character_table():
+    tracemalloc.start()
+    try:
+        group = parse_group("Z100000000")
+        alpha = group.character((99999999,))
+        flag = Flag(group, [group.identity, group.character((12345,)), alpha])
+        got = coaug(flag, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert got == _residue_loop_coaug(flag, alpha)
+    assert [c.terms for c in got.coeffs.values()] == [
+        {(): 1}, {(((1,), 1),): 1}, {(((1,), 1), ((12346,), 1)): 1}
+    ]
 
 
 # the duality route's shared stage values ----------------------------------------
@@ -596,6 +697,18 @@ def _arithmetic_random_numerator(rng: random.Random, flag: Flag, shift: int, dim
             return x
 
 
+def _counted_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> Counter:
+    """The sweeps' denominator draw, counted with a Counter."""
+    return Counter(rng.choice(invertible_characters(flag, mode)) for _ in range(total))
+
+
+def _counted_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
+    """The sweeps' fraction draw through the validated constructors."""
+    total = rng.randint(0, max_dim)
+    denom = _counted_denominator(rng, flag, mode, total)
+    return LocFraction(_arithmetic_random_numerator(rng, flag, shift, total), denom, mode)
+
+
 @pytest.mark.parametrize("spec", DEFAULT_GROUPS)
 def test_random_draws_match_the_ring_arithmetic(spec):
     group = parse_group(spec)
@@ -612,6 +725,25 @@ def test_random_draws_match_the_ring_arithmetic(spec):
                     got = verify._random_numerator(fast, flag, shift, dim)
                     assert got == _arithmetic_random_numerator(slow, flag, shift, dim)
         assert fast.getstate() == slow.getstate()
+        for mode, shift in (("MUP", -2), ("mUP", 2), ("MUP", 2)):
+            for _ in range(4):
+                for total in range(5):
+                    got = verify._random_denominator(fast, flag, mode, total)
+                    assert got == _counted_denominator(slow, flag, mode, total)
+            assert fast.getstate() == slow.getstate()
+            for _ in range(20):
+                got = _random_dim0_fraction(fast, flag, shift, mode, 4)
+                want = _counted_dim0_fraction(slow, flag, shift, mode, 4)
+                assert _fields(got) == _fields(want)
+            assert fast.getstate() == slow.getstate()
+    for low in (0, 1):
+        for n in range(5):
+            want = [
+                SymPoly(flag, -2, {mono(Counter(combo)): 1})
+                for combo in itertools.combinations_with_replacement(range(low, flag.length + 1), n)
+            ]
+            got = _basis_monomials(flag, -2, low, n)
+            assert got == want and [x.terms for x in got] == [x.terms for x in want]
 
 
 # invariants of the generator rewrite ---------------------------------------

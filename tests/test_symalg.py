@@ -76,6 +76,21 @@ def test_theta_sym_embeds_coaug():
     assert theta_sym(F2, -2, SIG) is th  # cached
 
 
+def test_inverted_classes_are_kept_on_the_flag_they_are_asked_over():
+    # a second parse of one group gives an equal flag that gets classes of its own
+    g1, g2 = parse_group("Z3"), parse_group("Z3")
+    f1, f2 = Flag.cyclic(g1, 3), Flag.cyclic(g2, 3)
+    a = g1.character((1,))
+    t1, bt1 = theta_sym(f1, -2, a), btheta_expansion(f1, "b", a)
+    t2, bt2 = theta_sym(f2, -2, a), btheta_expansion(f2, "b", a)
+    assert t2 == t1 and bt2.terms == bt1.terms
+    for x, flag, group in ((t1, f1, g1), (bt1, f1, g1), (t2, f2, g2), (bt2, f2, g2)):
+        assert x.flag is flag and x.flag.group is group
+    assert theta_sym(f2, -2, a) is t2 and btheta_expansion(f2, "b", a) is bt2
+    # the shift and the family are part of the key
+    assert theta_sym(f2, 2, a).shift == 2 and btheta_expansion(f2, "c", a).family == "c"
+
+
 def test_theta_mul():
     x = b1() ** 2
     y = theta_mul(F2, SIG, x)
