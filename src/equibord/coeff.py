@@ -101,7 +101,7 @@ class CoeffPoly(RingOps):
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a coefficient polynomial")
-        return power(self, n, CoeffPoly.one(self.group))
+        return power(self, n) if n else CoeffPoly.one(self.group)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -24,8 +24,10 @@ class Flag:
 
     The first-occurrence table (character -> 1-based index, in order of
     first occurrence) is built with the flag; the stage representations
-    V_0..V_N are built together on the first call to rep.  _thetas keeps
-    the inverted classes that symalg builds over the flag.
+    V_0..V_N are looked up together on the first call to rep, each the
+    group's one object for its multiset, reached from the one before
+    through the character added.  _thetas keeps the inverted classes that
+    symalg builds over the flag.
     """
 
     __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages", "_thetas")
@@ -74,9 +76,12 @@ class Flag:
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
         if self._stages is None:
-            self._stages = tuple(
-                Representation(self.group, self.chars[:k]) for k in range(self.length + 1)
-            )
+            stage = Representation._stage(self.group, (), ())
+            stages = [stage]
+            for c in self.chars:
+                stage = stage._next.get(c.residues) or stage._plus(c)
+                stages.append(stage)
+            self._stages = tuple(stages)
         return self._stages[i]
 
     def first_index(self, alpha: Character) -> int | None:
@@ -202,12 +207,20 @@ class ProjClass:
 
 def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
     """Augmentation value of alpha against the i-th stage class: the Euler
-    class of the alpha^{-1}-twisted stage.  The 0-th value is always one."""
+    class of the alpha^{-1}-twisted stage.  The 0-th value is always one.
+
+    The value depends only on alpha and the stage as a multiset, so the
+    stage, which every flag of the group with that multiset shares,
+    remembers it by alpha's residues."""
     if alpha.group is not flag.group and alpha.group != flag.group:
         raise MismatchError("character of a different group")
     if i == 0:
         return CoeffPoly.one(flag.group)
-    return euler_class(flag.rep(i).tensor(alpha.inverse()))
+    stage = flag.rep(i)
+    value = stage._augs.get(alpha.residues)
+    if value is None:
+        value = stage._augs[alpha.residues] = euler_class(stage.tensor(alpha.inverse()))
+    return value
 
 
 def coaug(flag: Flag, alpha: Character) -> ProjClass:

@@ -12,6 +12,7 @@ the --specialize and --config options.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import prod
 from operator import attrgetter
 
@@ -36,8 +37,12 @@ class AbelianGroup:
     # coefficient ring's graded-lex key, built by coeff on first use, and
     # _nontrivial the nontrivial characters the verify sweeps draw from.
     # _residue_sums[a][b] is the residue sum a + b, filled on demand by coaug.
+    # _stages maps a sorted tuple of residue tuples to the group's one
+    # Representation of that multiset of characters: the flag stage that
+    # Flag.rep reaches and whose twisted Euler classes aug remembers.  It
+    # fills as flags of the group build their stages.
     __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key",
-                 "_nontrivial", "_residue_sums")
+                 "_nontrivial", "_residue_sums", "_stages")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -48,6 +53,7 @@ class AbelianGroup:
         self._characters: tuple | None = None
         self._euler_key = self._nontrivial = None
         self._residue_sums: dict[tuple, dict] = {}
+        self._stages: dict[tuple, Representation] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 
     @property
@@ -187,13 +193,43 @@ class Representation:
     adjacent and the trivial one, all of whose residues are zero, comes
     first.  They are not checked: the callers, Flag.rep and tensor, pass
     characters already known to belong to group.
+
+    Representation(group, chars) builds a new object that nothing
+    remembers and that remembers nothing: its _next and _augs are None.  A
+    flag stage is instead the group's one object for its multiset, kept in
+    group._stages, and it remembers two tables, both filled on demand:
+    _next maps a character's residues to the stage with that character
+    added, and _augs maps a character alpha's residues to the Euler class
+    of the alpha^{-1}-twisted stage, the augmentation value that aug reads.
     """
 
-    __slots__ = ("group", "summands")
+    __slots__ = ("group", "summands", "_next", "_augs")
 
     def __init__(self, group: AbelianGroup, chars):
         self.group = group
         self.summands = tuple(sorted(chars, key=_by_residues))
+        self._next = self._augs = None
+
+    @classmethod
+    def _stage(cls, group: AbelianGroup, key: tuple, summands: tuple) -> "Representation":
+        """The group's one representation for key, the residues of its
+        summands in order; summands, interned characters of group sorted
+        by residues, are wrapped only when none exists yet."""
+        rep = group._stages.get(key)
+        if rep is None:
+            rep = group._stages[key] = object.__new__(cls)
+            rep.group, rep.summands, rep._next, rep._augs = group, summands, {}, {}
+        return rep
+
+    def _plus(self, c: Character) -> "Representation":
+        """The stage with one more summand c, a character of the group,
+        remembered in _next."""
+        group, rs, summands = self.group, c.residues, self.summands
+        key = tuple(map(_by_residues, summands))
+        j = bisect_right(key, rs)
+        summands = summands[:j] + (Character._of(group, rs),) + summands[j:]
+        nxt = self._next[rs] = Representation._stage(group, key[:j] + (rs,) + key[j:], summands)
+        return nxt
 
     @property
     def contains_trivial(self) -> bool:

@@ -93,11 +93,9 @@ def mul_terms(t1: dict, t2: dict) -> dict:
     return acc
 
 
-def power(x, n: int, one):
-    """x ** n by square-and-multiply, for n >= 0; one is the unit, returned
-    for n = 0 only (x ** 1 is x itself)."""
-    if not n:
-        return one
+def power(x, n: int):
+    """x ** n by square-and-multiply, for n >= 1 (x ** 1 is x itself); the
+    caller supplies its own unit for n = 0."""
     while not n & 1:
         x = x * x
         n >>= 1

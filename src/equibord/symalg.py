@@ -27,7 +27,7 @@ from .flags import Flag, coaug
 from .groups import Character, format_residues
 from .render import flat_terms, format_power, join_signed, signed_product, specialized
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono, mono_degree, mono_div, mono_mul, mul_terms,
+    RingOps, add_terms, divexact_terms, grlex_key, mono_degree, mono_div, mono_mul, mul_terms,
     power, sorted_terms,
 )
 
@@ -159,7 +159,7 @@ class SymPoly(RingOps):
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
-        return power(self, n, SymPoly.one(self.flag, self.shift))
+        return power(self, n) if n else SymPoly.one(self.flag, self.shift)
 
     def __eq__(self, other):
         if isinstance(other, (int, CoeffPoly)):
@@ -676,22 +676,27 @@ def btheta_expansion(flag: Flag, family: str, alpha: Character) -> BExpr:
 
 
 def _to_generators(a: LocFraction) -> BExpr:
-    family = FAMILIES[a.num.shift]
-    if a.num.is_zero:
-        return BExpr.zero(a.num.flag, family)
+    """The generator expression of a dimension-0 fraction, wrapped without
+    re-validation: its terms are a's nonzero coefficients on a's
+    monomials with index 0 dropped, so every index left lies in 1..N with
+    a positive exponent, and its denominator is a's, a valid one over the
+    same flag, with the trivial class, the unit, dropped."""
+    num = a.num
+    if num.is_zero:
+        return BExpr.zero(num.flag, FAMILIES[num.shift])
     d = dim_degree(a)
     if d != 0:
         raise PreconditionError(
             f"only dimension-degree-0 fractions rewrite to generators, got {d}"
         )
     terms: dict = {}
-    for m, c in a.num.terms.items():
-        key = mono({i: k for i, k in m if i})
+    for m, c in num.terms.items():
+        key = m[1:] if m and not m[0][0] else m  # beta_0, if present, comes first
         if key in terms:
             raise RuntimeError(f"two numerator monomials of one dimension rewrite to {key!r}")
         terms[key] = c
     denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
-    return BExpr(a.num.flag, family, terms, denom)
+    return BExpr._of(SymPoly._of(num.flag, num.shift, terms), denom)
 
 
 def to_b_generators(a: LocFraction) -> BExpr:

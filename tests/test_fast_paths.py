@@ -2,8 +2,9 @@
 representations and their Euler classes, the flag stage and
 first-occurrence tables, the kernel-result constructors, the complete-flag
 enumeration, the collapse check's specialize-then-lift, the coaugmentation
-class, the duality route's shared stage values, the sweeps' random
-draws and the constructors that skip validation, each checked against a
+class, the duality route's shared stage values, the augmentation values
+the stages remember, powers, the sweeps' random draws, the generator
+rewrite and the constructors that skip validation, each checked against a
 plain reference written here."""
 
 import itertools
@@ -23,6 +24,7 @@ from equibord.groups import Character, Representation, parse_group
 from equibord.sparse import mono
 from equibord.symalg import (
     BExpr, LocFraction, SymPoly, expand_b, invertible_characters, lift_to_common, to_b_generators,
+    to_c_generators,
 )
 from equibord.verify import (
     DEFAULT_GROUPS, _basis_monomials, _complete_flags, _duality_sweep, _mutated_aug,
@@ -665,6 +667,103 @@ def test_sharing_holds_over_random_flag_runs(run, augmentation):
     assert len(seen) == want[0]
 
 
+# the augmentation values the stages remember -------------------------------------
+
+
+def _unremembered_aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
+    """aug through a fresh representation of the prefix, which nothing remembers."""
+    if i == 0:
+        return CoeffPoly.one(flag.group)
+    return euler_class(Representation(flag.group, flag.chars[:i]).tensor(alpha.inverse()))
+
+
+@pytest.mark.parametrize("spec", ("Z4", "Z2xZ2"))
+def test_aug_matches_an_unremembered_twist(spec):
+    # every stage of every complete flag, against every character and every
+    # character of a second parse of the group, which share remembered values
+    group = parse_group(spec)
+    alphas = group.characters() + parse_group(spec).characters()
+    for flag in _complete_flags(group, 6):
+        for alpha in alphas:
+            for i in range(flag.length + 1):
+                got, want = aug(flag, alpha, i), _unremembered_aug(flag, alpha, i)
+                assert got == want and got.terms == want.terms and got.group is group
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_stages_of_one_multiset_are_one_object(spec):
+    group = parse_group(spec)
+    chars = group.characters()
+    rng = random.Random(f"one-stage-{spec}")
+    for flag in _repeating_flags(group, rng):
+        for i in range(1, flag.length + 1):
+            head = list(flag.chars[1:i])
+            rng.shuffle(head)
+            tail = [rng.choice(chars) for _ in range(rng.randint(0, 3))]
+            # a permuted prefix of validated copies, then any tail
+            other = Flag(group, [Character(group, c.residues) for c in [group.identity, *head]] + tail)
+            stage = flag.rep(i)
+            assert other.rep(i) is stage
+            assert all(c is Character._of(group, c.residues) for c in stage.summands)
+            fresh = Representation(group, flag.chars[:i])
+            assert fresh.summands == stage.summands
+            assert all(r is not fresh for r in group._stages.values())
+            twin = parse_group(spec)
+            assert Flag(twin, [twin.character(c.residues) for c in flag.chars]).rep(i) is not stage
+
+
+def test_an_injected_augmentation_leaves_the_remembered_values_alone(monkeypatch):
+    group = parse_group("Z4")
+    monkeypatch.setattr(verify, "parse_group", lambda spec: group)
+    mutated = _duality_sweep(("Z4",), 5, _mutated_aug)
+    assert mutated[1] is not None
+    assert group._stages and not any(stage._augs for stage in group._stages.values())
+    for flag in _complete_flags(group, 5):
+        for alpha in group.characters():
+            for i in range(flag.length + 1):
+                assert aug(flag, alpha, i) == _unremembered_aug(flag, alpha, i)
+    # with every value remembered, the mutated route still reads none of them
+    assert all(stage._augs for stage in group._stages.values() if stage.summands)
+    assert _duality_sweep(("Z4",), 5, _mutated_aug) == mutated
+    assert _duality_sweep(("Z4",), 5) == (4 * 66, None)  # 66 complete flags
+
+
+def test_aug_over_a_huge_group_allocates_no_per_character_table():
+    tracemalloc.start()
+    try:
+        group = parse_group("Z100000000")
+        alpha = group.character((99999999,))
+        flag = Flag(group, [group.identity, group.character((12345,)), alpha])
+        got = [aug(flag, alpha, i) for i in range(flag.length + 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert got == [_unremembered_aug(flag, alpha, i) for i in range(flag.length + 1)]
+    assert [c.terms for c in got] == [{(): 1}, {(((1,), 1),): 1}, {(((1,), 1), ((12346,), 1)): 1}, {}]
+
+
+# powers -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_powers_match_repeated_multiplication(spec):
+    group = parse_group(spec)
+    flag = Flag.cyclic(group, 4)
+    rng = random.Random(f"powers-{spec}")
+    for _ in range(8):
+        _, _, sym, frac = _random_values_of_each_class(rng, flag)
+        coeff = _random_coeff(rng, group)
+        for x, one in ((coeff, CoeffPoly.one(group)), (sym, SymPoly.one(flag, sym.shift))):
+            assert x**0 == one and (x**0).terms == one.terms
+            assert x**1 is x
+            assert x**3 == x * x * x
+        one = LocFraction(SymPoly.one(flag, frac.num.shift), {}, frac.mode)
+        assert _fields(frac**0) == _fields(one)
+        assert _fields(frac**1) == _fields(frac)
+        assert _fields(frac**3) == _fields(frac * frac * frac)
+
+
 # the sweeps' random draws -------------------------------------------------------
 
 
@@ -747,6 +846,29 @@ def test_random_draws_match_the_ring_arithmetic(spec):
 
 
 # invariants of the generator rewrite ---------------------------------------
+
+
+def _validated_rewrite(a: LocFraction) -> BExpr:
+    """The generator rewrite through the validated constructor."""
+    terms = {mono({i: k for i, k in m if i}): c for m, c in a.num.terms.items()}
+    denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
+    return BExpr(a.num.flag, "b" if a.num.shift == -2 else "c", terms, denom)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_generator_rewrites_equal_the_validated_ones(spec):
+    group = parse_group(spec)
+    flag = Flag.cyclic(group, 4)
+    rng = random.Random(f"rewrites-{spec}")
+    for shift, mode in ((-2, "MUP"), (2, "MUP"), (2, "mUP")):
+        rewrite = to_b_generators if shift == -2 else to_c_generators
+        xs = [LocFraction(SymPoly.zero(flag, shift), {}, mode)]
+        xs += [_random_dim0_fraction(rng, flag, shift, mode, 4) for _ in range(30)]
+        for x in xs:
+            got, want = rewrite(x), _validated_rewrite(x)
+            assert got == want and got.family == want.family and got.flag is flag
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert list(got.denom.items()) == list(want.denom.items())
 
 
 def test_generator_rewrite_reports_colliding_monomials(monkeypatch):
