@@ -17,7 +17,7 @@ import sys
 
 from .errors import PreconditionError, SpecParseError
 from .exprs import GRAMMAR_DOC, ExprContext, as_fraction, describe_value, eval_expression
-from .flags import Flag, aug, coaug, parse_flag
+from .flags import MAX_FLAG_LENGTH, Flag, aug, coaug, parse_flag
 from .groups import parse_character, parse_group, spec_lines
 from .render import specialized
 from .symalg import THEORIES, presentation, to_b_generators, to_c_generators
@@ -38,6 +38,11 @@ def _resolve_context(args):
         n = args.truncate if args.truncate is not None else group.order
         if n < 1:
             raise SpecParseError("--truncate must be at least 1")
+        if n > MAX_FLAG_LENGTH:
+            default = "" if args.truncate is not None else " (the group order)"
+            raise PreconditionError(
+                f"flag length {n}{default} is over the limit of {MAX_FLAG_LENGTH}"
+            )
         flag = Flag.cyclic(group, n)
     asg = _load_assignment(args.specialize, flag) if args.specialize is not None else None
     return group, flag, asg

@@ -14,7 +14,7 @@ from .errors import MismatchError, PreconditionError
 from .groups import AbelianGroup, Character, Representation, format_residues
 from .render import flat_terms, join_signed, signed_product
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mul_terms, power, sorted_terms,
+    RingOps, add_terms, divexact_terms, grlex_key, mono_mul, mul_terms, power, sorted_terms,
 )
 
 def _grlex(group: AbelianGroup):
@@ -91,6 +91,13 @@ class CoeffPoly(RingOps):
         return CoeffPoly(self.group, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        if other.__class__ is CoeffPoly and other.group is self.group:
+            t1, t2 = self.terms, other.terms
+            if len(t1) == 1 and len(t2) == 1:
+                # one term each: a product of nonzero ints is nonzero
+                (m1, c1), = t1.items()
+                (m2, c2), = t2.items()
+                return CoeffPoly._of(self.group, {mono_mul(m1, m2): c1 * c2})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -104,13 +111,11 @@ class CoeffPoly(RingOps):
         return power(self, n) if n else CoeffPoly.one(self.group)
 
     def __eq__(self, other):
+        if other.__class__ is CoeffPoly:
+            return self.group == other.group and self.terms == other.terms
         if isinstance(other, int):
             return self.terms == ({(): other} if other else {})
-        return (
-            isinstance(other, CoeffPoly)
-            and self.group == other.group
-            and self.terms == other.terms
-        )
+        return False
 
     __hash__ = None
 

@@ -121,8 +121,15 @@ class Flag:
         return f"Flag({self.group}, {self})"
 
 
+# the longest flag a request may build, checked before it is built: the
+# default truncation of Z100000000 alone would take gigabytes
+MAX_FLAG_LENGTH = 10_000
+
+
 def parse_flag(group: AbelianGroup, text: str) -> Flag:
-    """Parse a comma-joined character list like "(0),(1),(0),(1)"."""
+    """Parse a comma-joined character list like "(0),(1),(0),(1)"; a list of
+    more than MAX_FLAG_LENGTH entries is refused before any entry is
+    parsed."""
     s = text.strip()
     if not s:
         raise SpecParseError("empty flag")
@@ -142,6 +149,8 @@ def parse_flag(group: AbelianGroup, text: str) -> Flag:
     if depth:
         raise SpecParseError(f"unbalanced parentheses in flag {text!r}")
     parts.append(s[start:])
+    if len(parts) > MAX_FLAG_LENGTH:
+        raise PreconditionError(f"flag length {len(parts)} is over the limit of {MAX_FLAG_LENGTH}")
     return Flag(group, tuple(parse_character(group, p) for p in parts))
 
 
@@ -177,7 +186,7 @@ class ProjClass:
     def __eq__(self, other):
         return (
             isinstance(other, ProjClass)
-            and self.flag == other.flag
+            and (self.flag is other.flag or self.flag == other.flag)
             and self.coeffs == other.coeffs
         )
 

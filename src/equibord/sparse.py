@@ -25,6 +25,12 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
         return m2
     if not m2:
         return m1
+    # variables of one operand all sorting before the other's: the
+    # concatenation is already the sorted product
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     acc = dict(m1)
     for v, k in m2:
         acc[v] = acc.get(v, 0) + k

@@ -27,7 +27,7 @@ from .flags import Flag, coaug
 from .groups import Character, format_residues
 from .render import flat_terms, format_power, join_signed, signed_product, specialized
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono_degree, mono_div, mono_mul, mul_terms,
+    RingOps, add_terms, divexact_terms, grlex_key, mono_degree, mono_mul, mul_terms,
     power, sorted_terms,
 )
 
@@ -234,9 +234,10 @@ def _kept_on_flag(build):
     @wraps(build)
     def kept(flag: Flag, *args):
         key = (build, *args)
-        if key not in flag._thetas:
-            flag._thetas[key] = build(flag, *args)
-        return flag._thetas[key]
+        out = flag._thetas.get(key)
+        if out is None:
+            out = flag._thetas[key] = build(flag, *args)
+        return out
 
     return kept
 
@@ -277,9 +278,10 @@ def retract(x: SymPoly, n: int | None = None, alpha: Character | None = None) ->
         raise PreconditionError(f"expected dimension degree {n + 1}, got {dim}")
     acc = {}
     for m, c in x.terms.items():
-        q = mono_div(m, ((0, 1),))
-        if q is not None:
-            acc[q] = c
+        # beta_0 sorts first, so it is dropped by slicing
+        if m and m[0][0] == 0:
+            k = m[0][1]
+            acc[m[1:] if k == 1 else ((0, k - 1),) + m[1:]] = c
     return SymPoly._of(x.flag, x.shift, acc)
 
 

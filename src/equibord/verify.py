@@ -224,21 +224,36 @@ def check_coaug_duality(cfg: SweepConfig):
     yield from _duality_cases(cfg.groups, cfg.max_flag_len, aug)
 
 
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, from bits = rng.getrandbits: the
+    algorithm of CPython's Random._randbelow_with_getrandbits, so it draws
+    the same stream as rng.randrange(n), and rng.choice and rng.randint
+    through it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     """A unit, a signed Euler symbol, a product of two Euler symbols or a
     small constant, built from its one term."""
+    bits = rng.getrandbits
     nontrivial = group._nontrivial
     if nontrivial is None:  # the trivial character sorts first
         nontrivial = group._nontrivial = tuple(group.characters()[1:])
-    kind = rng.randrange(4) if nontrivial else 0
+    n = len(nontrivial)
+    kind = _below(bits, 4) if n else 0
     if kind == 1:
-        sign = rng.choice((1, -1))  # drawn before the character
-        term = {((rng.choice(nontrivial).residues, 1),): sign}
+        sign = (1, -1)[_below(bits, 2)]  # drawn before the character
+        term = {((nontrivial[_below(bits, n)].residues, 1),): sign}
     elif kind == 2:
-        a, b = sorted((rng.choice(nontrivial).residues, rng.choice(nontrivial).residues))
+        a, b = sorted((nontrivial[_below(bits, n)].residues, nontrivial[_below(bits, n)].residues))
         term = {((a, 2),) if a == b else ((a, 1), (b, 1)): 1}
     else:
-        term = {(): rng.choice((1, -1) if kind == 0 else (2, -2, 3))}
+        units = (1, -1) if kind == 0 else (2, -2, 3)
+        term = {(): units[_below(bits, len(units))]}
     return CoeffPoly._of(group, term)
 
 
@@ -252,13 +267,19 @@ def _counts(items) -> dict:
 
 def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> SymPoly:
     """Random nonzero dimension-homogeneous polynomial of the given dimension."""
+    bits = rng.getrandbits
+    width = flag.length + 1  # beta indices in 0..N
     while True:
         terms: dict = {}
-        for _ in range(rng.randint(1, 3)):
-            m = mono(_counts(rng.randint(0, flag.length) for _ in range(dim)))
+        for _ in range(1 + _below(bits, 3)):
+            counts: dict = {}
+            for _ in range(dim):
+                i = _below(bits, width)
+                counts[i] = counts.get(i, 0) + 1
+            m = mono(counts)
             c = _random_coeff(rng, flag.group)
             terms[m] = terms[m] + c if m in terms else c
-        # beta indices in 0..N, positive exponents, coefficients over the group
+        # positive exponents, coefficients over the group
         x = SymPoly._of(flag, shift, terms)
         if not x.is_zero:
             return x
@@ -266,12 +287,13 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
 
 def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:
     """{character: positive exponent} over characters that mode inverts."""
+    bits = rng.getrandbits
     alphas = invertible_characters(flag, mode)
-    return _counts(rng.choice(alphas) for _ in range(total))
+    return _counts(alphas[_below(bits, len(alphas))] for _ in range(total))
 
 
 def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
-    total = rng.randint(0, max_dim)
+    total = _below(rng.getrandbits, max_dim + 1)
     denom = _random_denominator(rng, flag, mode, total)
     num = _random_numerator(rng, flag, shift, total)
     return LocFraction._of(num, denom, mode)

@@ -1,10 +1,12 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
 
 from equibord.cli import main
+from equibord.flags import MAX_FLAG_LENGTH
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "schemas"
@@ -73,6 +75,32 @@ def test_empty_flag_is_not_the_default_flag(capsys):
     assert (rc, out, err) == (2, "", "error: empty flag\n")
     rc, out, err = run(capsys, "thetas", "--group", "Z2", "--flag", "", "--truncate", "3")
     assert (rc, out, err) == (2, "", "error: pass either --flag or --truncate, not both\n")
+
+
+OVERLONG_FLAGS = [
+    (("eval", "--group", "Z2", "--truncate", "99999999", "--expr", "1"),
+     "flag length 99999999 is over the limit of 10000"),
+    (("thetas", "--group", "Z100000000"),
+     "flag length 100000000 (the group order) is over the limit of 10000"),
+    (("thetas", "--group", "Z2", "--truncate", str(MAX_FLAG_LENGTH + 1)),
+     "flag length 10001 is over the limit of 10000"),
+    (("thetas", "--group", "Z2", "--flag", ",".join(["(1)"] * (MAX_FLAG_LENGTH + 1))),
+     "flag length 10001 is over the limit of 10000"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERLONG_FLAGS,
+                         ids=["truncate", "group-order", "truncate-limit", "flag-entries"])
+def test_overlong_flags_exit_3_before_they_are_built(capsys, argv, message):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.05
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_a_flag_at_the_length_limit_is_built(capsys):
+    rc, out, _ = run(capsys, "thetas", "--group", "1", "--truncate", str(MAX_FLAG_LENGTH))
+    assert rc == 0 and f"flag: {','.join(['()'] * MAX_FLAG_LENGTH)}" in out
 
 
 def test_present_text_and_json(capsys):

@@ -3,10 +3,12 @@ representations and their Euler classes, the flag stage and
 first-occurrence tables, the kernel-result constructors, the complete-flag
 enumeration, the collapse check's specialize-then-lift, the coaugmentation
 class, the duality route's shared stage values, the augmentation values
-the stages remember, powers, the sweeps' random draws, the generator
-rewrite and the constructors that skip validation, each checked against a
-plain reference written here."""
+the stages remember, powers, the sweeps' random draws and their bounded
+ints, the generator rewrite, the constructors that skip validation,
+monomial and single-term coefficient products and the retraction, each
+checked against a plain reference written here."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -21,10 +23,10 @@ from equibord.coeff import CoeffPoly, euler_class, specializer
 from equibord.errors import MismatchError, PreconditionError
 from equibord.flags import Flag, ProjClass, aug, coaug, coaug_via_duality
 from equibord.groups import Character, Representation, parse_group
-from equibord.sparse import mono
+from equibord.sparse import mono, mono_div, mono_mul, mul_terms
 from equibord.symalg import (
-    BExpr, LocFraction, SymPoly, expand_b, invertible_characters, lift_to_common, to_b_generators,
-    to_c_generators,
+    BExpr, LocFraction, SymPoly, expand_b, invertible_characters, lift_to_common, retract,
+    to_b_generators, to_c_generators,
 )
 from equibord.verify import (
     DEFAULT_GROUPS, _basis_monomials, _complete_flags, _duality_sweep, _mutated_aug,
@@ -880,3 +882,141 @@ def test_generator_rewrite_reports_colliding_monomials(monkeypatch):
     monkeypatch.setattr(symalg, "dim_degree", lambda a: 0)
     with pytest.raises(RuntimeError, match="one dimension rewrite to"):
         to_b_generators(mixed)
+
+
+# monomial products, single-term coefficient products, the retraction ---------
+
+
+def _merged(m1, m2):
+    """The product monomial by counting every variable."""
+    return mono(Counter(dict(m1)) + Counter(dict(m2)))
+
+
+def _monomials(variables, top: int) -> list:
+    """Every monomial in variables with exponents up to top, the unit included."""
+    return [
+        tuple((v, k) for v, k in zip(variables, ks) if k)
+        for ks in itertools.product(range(top + 1), repeat=len(variables))
+    ]
+
+
+@pytest.mark.parametrize("variables", [(0, 1, 2, 3), ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0))],
+                         ids=["beta-indices", "residue-tuples"])
+def test_monomial_products_match_counting(variables):
+    ms = _monomials(variables, 2)
+    for m1 in ms:
+        for m2 in ms:
+            assert mono_mul(m1, m2) == _merged(m1, m2)
+    a, b, c, d = variables
+    cases = {
+        "disjoint, first before second": (((a, 2),), ((b, 1), (c, 3))),
+        "disjoint, second before first": (((c, 1), (d, 1)), ((a, 1),)),
+        "interleaved": (((a, 1), (c, 1)), ((b, 2),)),
+        "overlapping": (((a, 1), (b, 1)), ((b, 2), (c, 1))),
+        "first empty": ((), ((a, 1), (b, 1))),
+        "second empty": (((a, 1),), ()),
+        "both empty": ((), ()),
+    }
+    for m1, m2 in cases.values():
+        assert mono_mul(m1, m2) == _merged(m1, m2) == mono_mul(m2, m1)
+
+
+def _coeff_polys(group) -> list:
+    """Constants, signed symbols, products of symbols and a few sums."""
+    chars = group.characters()[1:]
+    out = [CoeffPoly.const(group, n) for n in (1, -1, 3)]
+    out += [CoeffPoly.euler(c) * s for c in chars for s in (1, -2)]
+    out += [CoeffPoly.euler(c) * CoeffPoly.euler(d) for c in chars for d in chars]
+    out += [CoeffPoly.euler(c) + 1 for c in chars]
+    return out + [CoeffPoly.zero(group)]
+
+
+@pytest.mark.parametrize("spec", ["1", "Z3", "Z2xZ2"])
+def test_coefficient_products_match_the_kernel(spec):
+    group, twin = parse_group(spec), parse_group(spec)
+    xs = _coeff_polys(group)
+    for x in xs:
+        for y in xs + _coeff_polys(twin):
+            got = x * y
+            assert got.group is group
+            assert got.terms == {m: c for m, c in mul_terms(x.terms, y.terms).items() if c}
+        for n in (0, 1, -3):
+            assert (x * n).terms == (n * x).terms == {m: n * c for m, c in x.terms.items() if n}
+    with pytest.raises(MismatchError):
+        CoeffPoly.one(group) * CoeffPoly.one(parse_group("Z5"))
+
+
+def _retracted_by_division(x: SymPoly) -> dict:
+    """Drop one beta_0 per monomial with the kernel's monomial division."""
+    acc = {}
+    for m, c in x.terms.items():
+        q = mono_div(m, ((0, 1),))
+        if q is not None:
+            acc[q] = c
+    return acc
+
+
+def test_retraction_matches_monomial_division():
+    z3 = parse_group("Z3")
+    flag = Flag.cyclic(z3, 3)
+    e1 = CoeffPoly.euler(z3.character((1,)))
+    named = [
+        SymPoly(flag, -2, {((0, 1), (2, 1)): e1}),  # beta_0 to the power 1
+        SymPoly(flag, -2, {((0, 3), (1, 1)): 2, ((0, 4),): e1}),  # beta_0 to higher powers
+        SymPoly(flag, -2, {((1, 2), (3, 1)): 1}),  # no beta_0
+        SymPoly(flag, -2, {(): e1}),  # the unit monomial
+    ]
+    for n in range(5):
+        named += _basis_monomials(flag, -2, 0, n)
+    for x in named:
+        got = retract(x)
+        assert got.flag is flag and got.shift == -2
+        assert list(got.terms.items()) == list(_retracted_by_division(x).items())
+    with pytest.raises(PreconditionError, match="mixed dimension degrees"):
+        retract(SymPoly(flag, -2, {((0, 1),): 1, ((0, 1), (1, 1)): 1}))
+    with pytest.raises(PreconditionError, match="trivial character only"):
+        retract(named[0], alpha=z3.character((1,)))
+
+
+# the draws' bounded ints ------------------------------------------------------
+
+
+def test_below_draws_the_stream_of_randrange():
+    ns = set(range(1, 71)) | {(1 << 40) - 12345, (1 << 39) + 7}
+    for k in range(1, 41):
+        ns |= {(1 << k) - 1, 1 << k, (1 << k) + 1}
+    for n in sorted(ns):
+        ours, theirs = random.Random(f"below-{n}"), random.Random(f"below-{n}")
+        for _ in range(8):
+            assert verify._below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
+
+
+# sha256 prefix of the str() of 100 draws per group and route ("MUP", -2),
+# ("mUP", 2), ("MUP", 2); a change means the draws, and so every seeded
+# verify report, have changed
+DRAW_DIGESTS = {
+    "1": ("81d4e9c18356e650", "567f612565b7d1db", "577726134c2b33b3"),
+    "Z2": ("02f8d4e828762dfb", "e62bc5c3e3b1ebc0", "2a4d8630c942f90d"),
+    "Z3": ("ff3a5479566b5b0e", "0efcd1b956e05842", "320ab6961ed33632"),
+    "Z4": ("51412da84203a229", "5405f73a2e5940f8", "74209679828d8f48"),
+    "Z2xZ2": ("0859e11f617f02b2", "14bd2df212a0dec9", "e4d58af9279b99f5"),
+    "Z5": ("9b7f8c912a32db83", "ab702364cdfc346c", "ac6d883b9b9bd0bb"),
+    "Z6": ("5b49c66fd5a85585", "64cc391d6f06547a", "ab01f106bd399932"),
+    "Z2xZ3": ("3e0b1076fc94e085", "afdd867f47befdfe", "aab9cb246e059278"),
+    "Z7": ("22c783e7ead925cb", "7c7d2c3d7bfeadf1", "1555f9ef90952c5a"),
+    "Z8": ("06dbdb059c01ca91", "59e6f9b31e83a6d0", "78fac1bdf04b09a2"),
+    "Z2xZ4": ("e7ff2cf3f273d093", "93093be9223169bc", "6b2bdd05e5aa0f54"),
+    "Z2xZ2xZ2": ("3120e521aa6acb20", "e2d893a157000227", "d636fe0fc7a17b73"),
+}
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_seeded_draws_are_pinned(spec):
+    flag = Flag.cyclic(parse_group(spec), 6)
+    digests = []
+    for mode, shift in (("MUP", -2), ("mUP", 2), ("MUP", 2)):
+        rng = random.Random(f"pin-{spec}-{mode}{shift:+d}")
+        text = "\n".join(str(_random_dim0_fraction(rng, flag, shift, mode, 4)) for _ in range(100))
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert tuple(digests) == DRAW_DIGESTS[spec]

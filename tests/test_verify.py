@@ -166,6 +166,16 @@ def test_duality_cases_per_group_at_default_config(monkeypatch):
     assert counts == [6, 114, 732, 1824, 1824, 1920, 720, 720, 0, 0, 0, 0]
 
 
+def test_case_counts_of_verify_seeds_1_to_4_match_the_bench_record():
+    # the benchmark checks the same counts after each verify-sweep run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_counts.json"
+    recorded = json.loads(path.read_text())
+    for seed in range(1, 5):
+        report = run_suite(SweepConfig(rng_seed=seed))
+        assert report.status == "pass"
+        assert {c.check: c.cases for c in report.checks} == recorded[str(seed)]
+
+
 def test_check_budgets_small_config():
     for check in (
         check_coaug_duality,
