@@ -28,7 +28,6 @@ from .symalg import (
     to_b_generators,
     to_c_generators,
 )
-from .verify import Report, SweepConfig, default_config, load_config, run_suite
 
 __version__ = "0.1.0"
 
@@ -71,3 +70,19 @@ __all__ = [
     "to_b_generators",
     "to_c_generators",
 ]
+
+# The verify sweeps load on first use of one of these names, not with the
+# package: every command but verify starts without compiling them (PEP 562).
+_VERIFY_NAMES = ("Report", "SweepConfig", "default_config", "load_config", "run_suite")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_VERIFY_NAMES})

@@ -9,7 +9,6 @@ validates against the documents under schemas/.  Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -21,7 +20,6 @@ from .flags import MAX_FLAG_LENGTH, Flag, aug, coaug, parse_flag
 from .groups import parse_character, parse_group, spec_lines
 from .render import specialized
 from .symalg import THEORIES, presentation, to_b_generators, to_c_generators
-from .verify import default_config, load_config, run_suite
 
 _ASSIGN_RE = re.compile(r"^e\[(?P<char>[^\]]*)\]$")
 
@@ -222,9 +220,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the sweeps, and the dataclasses they are built from, load only for
+    # the command that runs them: every other command starts without them
+    from dataclasses import replace
+
+    from .verify import default_config, load_config, run_suite
+
     cfg = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
+        cfg = replace(cfg, rng_seed=args.seed)
     report = run_suite(cfg)
     if args.format == "json":
         print(json.dumps({"schema": "equibord/verify/v1", **report.to_json()}, indent=2))

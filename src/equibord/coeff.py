@@ -112,7 +112,10 @@ class CoeffPoly(RingOps):
 
     def __eq__(self, other):
         if other.__class__ is CoeffPoly:
-            return self.group == other.group and self.terms == other.terms
+            return (
+                (self.group is other.group or self.group == other.group)
+                and self.terms == other.terms
+            )
         if isinstance(other, int):
             return self.terms == ({(): other} if other else {})
         return False

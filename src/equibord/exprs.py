@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .coeff import CoeffPoly
 from .errors import PreconditionError, SpecParseError
@@ -59,11 +58,29 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
 class ExprContext:
-    flag: Flag
-    shift: int = -2
-    mode: str = "MUP"
+    """The flag, shift and mode an expression is evaluated over.
+
+    A plain class with the behaviour of a dataclass of the three fields:
+    the dataclass machinery would load inspect and ast on every start of
+    the command line."""
+
+    __slots__ = ("flag", "shift", "mode")
+
+    def __init__(self, flag: Flag, shift: int = -2, mode: str = "MUP"):
+        self.flag = flag
+        self.shift = shift
+        self.mode = mode
+
+    def __repr__(self):
+        return f"ExprContext(flag={self.flag!r}, shift={self.shift!r}, mode={self.mode!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flag, self.shift, self.mode) == (other.flag, other.shift, other.mode)
+
+    __hash__ = None
 
     @property
     def family(self) -> str | None:

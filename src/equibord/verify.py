@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 from . import symalg
 from .coeff import CoeffPoly, euler_class, specializer
-from .errors import SpecParseError
-from .flags import Flag, ProjClass, aug, coaug, coaug_via_duality
+from .errors import PreconditionError, SpecParseError
+from .flags import MAX_FLAG_LENGTH, Flag, ProjClass, aug, coaug, coaug_via_duality
 from .groups import parse_group, spec_lines
 from .sparse import mono
 from .symalg import (
@@ -56,6 +57,13 @@ DEFAULT_GROUPS = (
 )
 
 
+# The duality sweep is exhaustive and its case count grows factorially with
+# the group order and exponentially with the flag length, so a config is
+# refused before any check runs when the count is over this budget: about
+# 10 s at the 7-10 us a case of the CI configs (2-core Xeon, Python 3.11.7).
+MAX_DUALITY_CASES = 1_000_000
+
+
 def _check_field(name: str, value):
     """Raise unless value is allowed for the SweepConfig field name."""
     if name == "groups":
@@ -63,6 +71,37 @@ def _check_field(name: str, value):
             raise SpecParseError("groups must be nonempty")
     elif name != "rng_seed" and value < 1:
         raise SpecParseError(f"{name} must be at least 1")
+    elif name in ("max_flag_len", "max_index") and value > MAX_FLAG_LENGTH:
+        raise PreconditionError(f"{name} {value} is over the limit of {MAX_FLAG_LENGTH}")
+
+
+def complete_flag_count(order: int, length: int) -> int:
+    """The number of complete flags of the given length over a group of the
+    given order: their length - 1 entries after the trivial one cover the
+    order - 1 nontrivial characters, counted by inclusion-exclusion over
+    the k of them left out.  At length == order they are the (order - 1)!
+    orderings of the nontrivial characters, counted directly: the sum
+    would raise order numbers to the power order - 1, and a config may
+    name groups of order up to the flag limit."""
+    if length == order:
+        return math.factorial(order - 1)
+    return sum(
+        (-1) ** k * math.comb(order - 1, k) * (order - k) ** (length - 1) for k in range(order)
+    )
+
+
+def duality_case_count(groups, max_flag_len: int) -> int:
+    """The number of cases check_coaug_duality runs: each group's order
+    times its complete flags of each length up to max_flag_len.  Once the
+    count is over MAX_DUALITY_CASES it stops, at some value over it."""
+    total = 0
+    for gspec in groups:
+        order = parse_group(gspec).order
+        for length in range(order, max_flag_len + 1):
+            if total > MAX_DUALITY_CASES:
+                return total
+            total += order * complete_flag_count(order, length)
+    return total
 
 
 @dataclass(frozen=True)
@@ -77,6 +116,11 @@ class SweepConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field(f.name, getattr(self, f.name))
+        if duality_case_count(self.groups, self.max_flag_len) > MAX_DUALITY_CASES:
+            raise PreconditionError(
+                f"the duality sweep over groups {', '.join(self.groups)} at max_flag_len "
+                f"{self.max_flag_len} would run over {MAX_DUALITY_CASES} cases"
+            )
 
     def to_json(self) -> dict:
         return {**asdict(self), "groups": list(self.groups)}
@@ -529,6 +573,9 @@ def load_config(path: str) -> SweepConfig:
             else:
                 raise SpecParseError(f"unknown key {key!r}")
             _check_field(key, values[key])
-        except SpecParseError as exc:
-            raise SpecParseError(f"{where}: {exc}") from None
-    return SweepConfig(**values)
+        except (SpecParseError, PreconditionError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+    try:
+        return SweepConfig(**values)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from None

@@ -3,7 +3,7 @@ import pytest
 from equibord.coeff import CoeffPoly
 from equibord.errors import PreconditionError, SpecParseError
 from equibord.exprs import ExprContext, as_fraction, describe_value, eval_expression
-from equibord.flags import parse_flag
+from equibord.flags import Flag, parse_flag
 from equibord.groups import parse_group
 from equibord.symalg import SymPoly, frac_eq, theta_sym
 
@@ -11,6 +11,25 @@ Z2 = parse_group("Z2")
 F2 = parse_flag(Z2, "(0),(1),(0),(1)")
 CTX = ExprContext(F2, -2, "MUP")
 SIG = Z2.character((1,))
+
+
+def test_expr_context_keeps_the_dataclass_behaviour():
+    # the values below were recorded from the dataclass ExprContext
+    f3 = Flag.cyclic(Z2, 3)
+    default = ExprContext(f3)
+    assert repr(default) == "ExprContext(flag=Flag(Z2, (0),(1),(0)), shift=-2, mode='MUP')"
+    assert (default.shift, default.mode, default.family) == (-2, "MUP", "b")
+    c_side = ExprContext(f3, 2, "mUP")
+    assert repr(c_side) == "ExprContext(flag=Flag(Z2, (0),(1),(0)), shift=2, mode='mUP')"
+    assert c_side.family == "c" and ExprContext(f3, 0).family is None
+    mixed = ExprContext(parse_flag(parse_group("Z2xZ3"), "(0,0),(1,2)"), 0, "mUP")
+    assert repr(mixed) == "ExprContext(flag=Flag(Z2xZ3, (0,0),(1,2)), shift=0, mode='mUP')"
+    # field-wise equality, by keyword or position, and only with its own class
+    assert ExprContext(flag=f3, mode="mUP", shift=2) == c_side
+    assert default == ExprContext(Flag.cyclic(parse_group("Z2"), 3))
+    assert default != c_side and default != f3
+    assert default.__eq__(f3) is NotImplemented
+    assert ExprContext.__hash__ is None
 
 
 def val(text, ctx=CTX):

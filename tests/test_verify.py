@@ -1,15 +1,18 @@
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
 
 from equibord import verify
-from equibord.errors import SpecParseError
+from equibord.errors import PreconditionError, SpecParseError
 from equibord.flags import ProjClass, aug
 from equibord.verify import (
     ALL_CHECKS,
+    MAX_DUALITY_CASES,
     SweepConfig,
+    _complete_flags,
     _duality_sweep,
     _mutated_aug,
     check_coaug_duality,
@@ -18,7 +21,9 @@ from equibord.verify import (
     check_retraction,
     check_rewrite_roundtrip,
     check_specialization_collapse,
+    complete_flag_count,
     default_config,
+    duality_case_count,
     load_config,
     run_suite,
 )
@@ -150,6 +155,61 @@ def test_load_config_rejects_a_repeated_key(tmp_path, capsys):
     assert str(excinfo.value) == f"{p}:3: duplicate key 'max_flag_len'"
     assert main(["verify", "--config", str(p)]) == 2
     assert capsys.readouterr().err == f"error: {p}:3: duplicate key 'max_flag_len'\n"
+
+
+@pytest.mark.parametrize("gspec", ["1", "Z2", "Z3", "Z4", "Z2xZ2"])
+def test_complete_flag_count_matches_the_enumeration(gspec):
+    group = verify.parse_group(gspec)
+    lengths = [f.length for f in _complete_flags(group, 7)]
+    assert [complete_flag_count(group.order, n) for n in range(1, 8)] == [
+        lengths.count(n) for n in range(1, 8)
+    ]
+
+
+def test_duality_case_count_of_the_ci_configs():
+    # the four duality configs of the CI workflow, each under the budget
+    for groups, max_flag_len, cases in (
+        (("Z7",), 7, 5_040),
+        (("Z2xZ4",), 8, 40_320),
+        (("Z8", "Z2xZ4", "Z2xZ2xZ2"), 8, 120_960),
+        (("Z3xZ3",), 9, 362_880),
+    ):
+        assert duality_case_count(groups, max_flag_len) == cases
+        SweepConfig(groups=groups, max_flag_len=max_flag_len)
+    assert duality_case_count(default_config().groups, 6) == 7_860
+
+
+def test_configs_over_the_budget_are_refused():
+    with pytest.raises(PreconditionError, match="would run over 1000000 cases"):
+        SweepConfig(groups=("Z4",), max_flag_len=10)  # 1,056,048 cases
+    assert duality_case_count(("Z4",), 9) <= MAX_DUALITY_CASES
+    with pytest.raises(PreconditionError, match="max_index 10001 is over the limit of 10000"):
+        SweepConfig(max_index=10_001)
+    # a group larger than the flags has no complete flag, so no case
+    assert duality_case_count(("Z100000000",), 10_000) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("groups = Z2\nmax_flag_len = 40\n",
+         "{p}: the duality sweep over groups Z2 at max_flag_len 40 would run over 1000000 cases"),
+        ("groups = Z10000\nmax_flag_len = 10000\n",
+         "{p}: the duality sweep over groups Z10000 at max_flag_len 10000 "
+         "would run over 1000000 cases"),
+        ("max_flag_len = 10001\n", "{p}:1: max_flag_len 10001 is over the limit of 10000"),
+    ],
+    ids=["Z2-40", "Z10000", "length-limit"],
+)
+def test_oversized_configs_exit_3_before_any_check(tmp_path, capsys, text, message):
+    from equibord.cli import main
+
+    p = tmp_path / "big.cfg"
+    p.write_text(text)
+    t0 = time.perf_counter()
+    rc = main(["verify", "--config", str(p)])
+    assert time.perf_counter() - t0 < 0.05
+    assert (rc, *capsys.readouterr()) == (3, "", f"error: {message.format(p=p)}\n")
 
 
 def test_duality_cases_per_group_at_default_config(monkeypatch):
