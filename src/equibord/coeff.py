@@ -42,7 +42,9 @@ class CoeffPoly(RingOps):
 
     @classmethod
     def _of(cls, group: AbelianGroup, terms: dict) -> "CoeffPoly":
-        """Wrap {monomial: nonzero int} terms known to be valid for group."""
+        """Wrap {monomial: nonzero int} terms known to be valid for group,
+        such as a zero-free kernel result; nothing is checked or filtered.
+        The dict becomes the value's own and is never changed in place."""
         x = object.__new__(cls)
         x.group, x.terms = group, terms
         return x
@@ -83,12 +85,12 @@ class CoeffPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CoeffPoly(self.group, add_terms(self.terms, rhs.terms))
+        return CoeffPoly._of(self.group, add_terms(self.terms, rhs.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoeffPoly(self.group, {m: -c for m, c in self.terms.items()})
+        return CoeffPoly._of(self.group, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if other.__class__ is CoeffPoly and other.group is self.group:
@@ -101,7 +103,7 @@ class CoeffPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CoeffPoly(self.group, mul_terms(self.terms, rhs.terms))
+        return CoeffPoly._of(self.group, mul_terms(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 

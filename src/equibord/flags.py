@@ -16,7 +16,7 @@ from .coeff import CoeffPoly, euler_class, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, parse_character
 from .render import join_signed, signed_product
-from .sparse import mono
+from .sparse import mono_mul
 
 
 class Flag:
@@ -177,10 +177,11 @@ class ProjClass:
 
     @classmethod
     def _of(cls, flag: Flag, coeffs: dict) -> "ProjClass":
-        """Wrap {basis index: CoeffPoly} known to be valid for flag,
-        dropping zero coefficients only."""
+        """Wrap {basis index: nonzero CoeffPoly} known to be valid for flag;
+        nothing is checked or filtered.  The dict becomes the value's own
+        and is never changed in place, so coefficients may be shared."""
         x = object.__new__(cls)
-        x.flag, x.coeffs = flag, {i: c for i, c in coeffs.items() if c.terms}
+        x.flag, x.coeffs = flag, coeffs
         return x
 
     def __eq__(self, other):
@@ -196,7 +197,9 @@ class ProjClass:
         """Apply a coefficient-ring map to every basis coefficient; the
         assignment is checked first, entry by entry, even on zero."""
         spec = specializer(self.flag.group, assignment)
-        return ProjClass._of(self.flag, {i: spec(c) for i, c in self.coeffs.items()})
+        # a symbol sent to zero can kill a coefficient
+        coeffs = {i: s for i, c in self.coeffs.items() if (s := spec(c)).terms}
+        return ProjClass._of(self.flag, coeffs)
 
     def __str__(self):
         parts = []
@@ -240,32 +243,50 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     when the expansion is finite.  The twists are residue sums, read from
     the group's table of them and computed on a miss, never through the
     character products that the augmentation route uses.
+
+    The coefficient on beta_i is the Euler monomial of the first i twists,
+    read from the group's table of Euler monomials: each node of it is the
+    monomial's one-term CoeffPoly and the nodes one twist further on, by
+    residue sum.  Nodes are keyed by monomial, so two orders of the same
+    twists share one node.  The coefficients are shared between classes,
+    which is safe as no CoeffPoly's terms are ever changed in place.
     """
     j = flag.occurrence(alpha)
     group = flag.group
     inv = alpha.inverse().residues
     sums = group._residue_sums.setdefault(inv, {})
-    coeffs: dict[int, CoeffPoly] = {0: CoeffPoly._of(group, {(): 1})}
-    running: dict[tuple, int] = {}
+    nodes = group._euler_nodes
+    node = nodes.get(())
+    if node is None:
+        node = nodes[()] = (CoeffPoly._of(group, {(): 1}), {})
+    coeffs: dict[int, CoeffPoly] = {0: node[0]}
+    chars = flag.chars
     for i in range(1, j):
-        chi = flag.chars[i - 1].residues
+        chi = chars[i - 1].residues
         rs = sums.get(chi)
         if rs is None:
             rs = sums[chi] = tuple((a + b) % n for a, b, n in zip(inv, chi, group.cyclic_orders))
-        running[rs] = running.get(rs, 0) + 1
-        coeffs[i] = CoeffPoly._of(group, {mono(running): 1})
-    x = object.__new__(ProjClass)  # no coefficient is zero, so none to drop
-    x.flag, x.coeffs = flag, coeffs
-    return x
+        nxt = node[1].get(rs)
+        if nxt is None:
+            (m,) = node[0].terms
+            m = mono_mul(m, ((rs, 1),))
+            nxt = nodes.get(m)
+            if nxt is None:
+                nxt = nodes[m] = (CoeffPoly._of(group, {m: 1}), {})
+            node[1][rs] = nxt
+        node = nxt
+        coeffs[i] = node[0]
+    return ProjClass._of(flag, coeffs)  # no coefficient is zero
 
 
 def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjClass:
     """Assemble the coaugmentation class from augmentation values alone,
-    coefficient by coefficient through the duality pairing.
+    coefficient by coefficient through the duality pairing; the zero values,
+    those from the first occurrence of alpha on, are left out as they come.
 
     Independent route from coaug; augmentation is injectable so the two
     routes can be driven apart deliberately in sensitivity checks.
     """
     flag.occurrence(alpha)
-    coeffs = {i: augmentation(flag, alpha, i) for i in range(flag.length + 1)}
+    coeffs = {i: c for i in range(flag.length + 1) if (c := augmentation(flag, alpha, i)).terms}
     return ProjClass._of(flag, coeffs)

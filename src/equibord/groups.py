@@ -37,12 +37,14 @@ class AbelianGroup:
     # coefficient ring's graded-lex key, built by coeff on first use, and
     # _nontrivial the nontrivial characters the verify sweeps draw from.
     # _residue_sums[a][b] is the residue sum a + b, filled on demand by coaug.
+    # _euler_nodes maps an Euler monomial to coaug's node for it: the
+    # monomial's one-term CoeffPoly and {residue sum: next node}.
     # _stages maps a sorted tuple of residue tuples to the group's one
     # Representation of that multiset of characters: the flag stage that
     # Flag.rep reaches and whose twisted Euler classes aug remembers.  It
     # fills as flags of the group build their stages.
     __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key",
-                 "_nontrivial", "_residue_sums", "_stages")
+                 "_nontrivial", "_residue_sums", "_euler_nodes", "_stages")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -53,6 +55,7 @@ class AbelianGroup:
         self._characters: tuple | None = None
         self._euler_key = self._nontrivial = None
         self._residue_sums: dict[tuple, dict] = {}
+        self._euler_nodes: dict[tuple, tuple] = {}
         self._stages: dict[tuple, Representation] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 

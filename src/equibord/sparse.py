@@ -5,9 +5,17 @@ tuple of (variable, exponent) pairs sorted by variable, every exponent
 positive; the empty tuple is the unit monomial.  The variables are
 character residues in the coefficient ring and beta or generator indices
 above it; the coefficients are ints or CoeffPolys.  The functions here work
-on term dicts alone: validation, coercion and dropping zero coefficients
-stay with the classes that wrap them.  RingOps gives those classes their
-subtraction in terms of their addition and negation.
+on term dicts alone: validation and coercion stay with the classes that
+wrap them.  RingOps gives those classes their subtraction in terms of their
+addition and negation.
+
+Zero-free contract: a term dict holds no zero coefficient.  add_terms and
+mul_terms keep it, dropping a monomial the moment its coefficient cancels,
+so the classes wrap their results (through _of) without filtering again.
+A product of two nonzero coefficients is never zero: plainly so for ints,
+and CoeffPolys form an integral domain.  Results may share coefficient
+objects with the operands, which is safe as no term dict is ever changed
+in place once wrapped.
 """
 
 from __future__ import annotations
@@ -78,24 +86,36 @@ def sorted_terms(terms: dict, key) -> list:
 
 
 def add_terms(t1: dict, t2: dict) -> dict:
-    """Sum of two term dicts.  Zero coefficients may remain in the result,
-    and a coefficient may be shared with an operand."""
+    """Sum of two term dicts, zero-free when both are: a monomial whose
+    coefficients cancel is dropped.  A coefficient may be shared with an
+    operand."""
     acc = dict(t1)
     for m, c in t2.items():
         prev = acc.get(m)
-        acc[m] = c if prev is None else prev + c
+        if prev is None:
+            acc[m] = c
+        elif c := prev + c:
+            acc[m] = c
+        else:
+            del acc[m]
     return acc
 
 
 def mul_terms(t1: dict, t2: dict) -> dict:
-    """Product of two term dicts.  Zero coefficients may remain in the
-    result."""
+    """Product of two term dicts, zero-free when both are: a monomial is
+    dropped the moment its accumulated coefficient cancels, and comes back
+    if a later product lands on it."""
     acc: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             m = mono_mul(m1, m2)
             prev = acc.get(m)
-            acc[m] = c1 * c2 if prev is None else prev + c1 * c2
+            if prev is None:
+                acc[m] = c1 * c2
+            elif c := prev + c1 * c2:
+                acc[m] = c
+            else:
+                del acc[m]
     return acc
 
 

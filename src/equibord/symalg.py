@@ -96,10 +96,12 @@ class SymPoly(RingOps):
 
     @classmethod
     def _of(cls, flag: Flag, shift: int, terms: dict) -> "SymPoly":
-        """Wrap {monomial: CoeffPoly} terms known to be valid for flag and
-        shift, such as a kernel result, dropping zero coefficients only."""
+        """Wrap {monomial: nonzero CoeffPoly} terms known to be valid for
+        flag and shift, such as a zero-free kernel result; nothing is
+        checked or filtered.  The dict becomes the value's own and is never
+        changed in place, so coefficients may be shared with other values."""
         x = object.__new__(cls)
-        x.flag, x.shift, x.terms = flag, shift, {m: c for m, c in terms.items() if c.terms}
+        x.flag, x.shift, x.terms = flag, shift, terms
         return x
 
     @classmethod
@@ -224,8 +226,10 @@ class SymPoly(RingOps):
 
 
 def _specialized(x: SymPoly, spec) -> SymPoly:
-    """x with spec, a coeff.specializer of its group, applied to every coefficient."""
-    return SymPoly._of(x.flag, x.shift, {m: spec(c) for m, c in x.terms.items()})
+    """x with spec, a coeff.specializer of its group, applied to every
+    coefficient; the terms that spec sends to zero are dropped."""
+    terms = {m: s for m, c in x.terms.items() if (s := spec(c)).terms}
+    return SymPoly._of(x.flag, x.shift, terms)
 
 
 def _kept_on_flag(build):
@@ -439,8 +443,10 @@ class LocFraction(_Quotient):
 
     @classmethod
     def _of(cls, num: SymPoly, denom: dict, mode: str) -> "LocFraction":
-        """Wrap a denominator that mode may invert over num's flag, such as
-        one merged from operands' denominators, dropping zero exponents only."""
+        """Wrap a numerator and a denominator that mode may invert over
+        num's flag, such as one merged from operands' denominators.  The
+        numerator, zero-free as every SymPoly is, is taken as it is; of the
+        denominator only zero exponents are dropped."""
         x = object.__new__(cls)
         x.num, x.mode, x.denom = num, mode, {al: k for al, k in denom.items() if k}
         return x

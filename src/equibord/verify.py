@@ -57,11 +57,23 @@ DEFAULT_GROUPS = (
 )
 
 
+# A config is refused before any check runs when a check would run over
+# its budget.  Each budget allows about 5-10 s (2-core Xeon, Python 3.11.7),
+# so a config within all of them runs in well under a minute.
 # The duality sweep is exhaustive and its case count grows factorially with
-# the group order and exponentially with the flag length, so a config is
-# refused before any check runs when the count is over this budget: about
-# 10 s at the 7-10 us a case of the CI configs (2-core Xeon, Python 3.11.7).
+# the group order and exponentially with the flag length: 4-6 us a case on
+# Z2/17, Z3/11, Z4/9 and Z3xZ3/9.  Each case compares flag length + 1
+# coefficients, 0.35-0.55 us each, which the trivial group, with one case
+# per length, meets long before the case budget.
 MAX_DUALITY_CASES = 1_000_000
+MAX_DUALITY_COEFFICIENTS = 10_000_000
+# check_retraction's cases (retraction_case_count): 3.5-10 us a case up to
+# dimension 150, 32 us at dimension 1,000.
+MAX_RETRACTION_CASES = 300_000
+# random_cases x groups x (max_dimension + 1): a random case costs the three
+# random checks 150-300 us together, and a drawn numerator's dimension goes
+# up to max_dimension (+ 2 in the periodicity check).
+MAX_RANDOM_DRAWS = 250_000
 
 
 def _check_field(name: str, value):
@@ -90,17 +102,41 @@ def complete_flag_count(order: int, length: int) -> int:
     )
 
 
-def duality_case_count(groups, max_flag_len: int) -> int:
-    """The number of cases check_coaug_duality runs: each group's order
-    times its complete flags of each length up to max_flag_len.  Once the
-    count is over MAX_DUALITY_CASES it stops, at some value over it."""
-    total = 0
+def duality_sizes(groups, max_flag_len: int) -> tuple:
+    """(cases, coefficients) of check_coaug_duality: each group's order
+    times its complete flags of each length up to max_flag_len, and those
+    cases each weighted by the length + 1 coefficients they compare.  Once
+    the case count is over MAX_DUALITY_CASES it stops, at some value over it."""
+    cases = coefficients = 0
     for gspec in groups:
         order = parse_group(gspec).order
         for length in range(order, max_flag_len + 1):
-            if total > MAX_DUALITY_CASES:
-                return total
-            total += order * complete_flag_count(order, length)
+            if cases > MAX_DUALITY_CASES:
+                return cases, coefficients
+            n = order * complete_flag_count(order, length)
+            cases += n
+            coefficients += n * (length + 1)
+    return cases, coefficients
+
+
+def duality_case_count(groups, max_flag_len: int) -> int:
+    """The case count of duality_sizes."""
+    return duality_sizes(groups, max_flag_len)[0]
+
+
+def retraction_case_count(max_index: int, max_dimension: int) -> int:
+    """The number of cases check_retraction runs per group, or one more per
+    random combination that cancels to zero: for each dimension n up to
+    max_dimension, the C(max_index + n, n) monomials of dimension n in
+    beta_0..beta_max_index, 3 random combinations of them, and the
+    C(max_index + n, n + 1) monomials of dimension n + 1 without beta_0.
+    Once the count is over MAX_RETRACTION_CASES it stops, at some value
+    over it."""
+    total = 0
+    for n in range(max_dimension + 1):
+        if total > MAX_RETRACTION_CASES:
+            break
+        total += math.comb(max_index + n, n) + 3 + math.comb(max_index + n, n + 1)
     return total
 
 
@@ -116,10 +152,27 @@ class SweepConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field(f.name, getattr(self, f.name))
-        if duality_case_count(self.groups, self.max_flag_len) > MAX_DUALITY_CASES:
+        groups = ", ".join(self.groups)
+        cases, coefficients = duality_sizes(self.groups, self.max_flag_len)
+        sweep = f"the duality sweep over groups {groups} at max_flag_len {self.max_flag_len}"
+        if cases > MAX_DUALITY_CASES:
+            raise PreconditionError(f"{sweep} would run over {MAX_DUALITY_CASES} cases")
+        if coefficients > MAX_DUALITY_COEFFICIENTS:
             raise PreconditionError(
-                f"the duality sweep over groups {', '.join(self.groups)} at max_flag_len "
-                f"{self.max_flag_len} would run over {MAX_DUALITY_CASES} cases"
+                f"{sweep} would compare over {MAX_DUALITY_COEFFICIENTS} coefficients"
+            )
+        count = retraction_case_count(self.max_index, self.max_dimension) * len(self.groups)
+        if count > MAX_RETRACTION_CASES:
+            raise PreconditionError(
+                f"the retraction check over groups {groups} at max_index {self.max_index} "
+                f"and max_dimension {self.max_dimension} would run over "
+                f"{MAX_RETRACTION_CASES} cases"
+            )
+        if self.random_cases * len(self.groups) * (self.max_dimension + 1) > MAX_RANDOM_DRAWS:
+            raise PreconditionError(
+                f"random_cases {self.random_cases} x {len(self.groups)} groups x "
+                f"(max_dimension {self.max_dimension} + 1) is over the budget of "
+                f"{MAX_RANDOM_DRAWS}"
             )
 
     def to_json(self) -> dict:
@@ -200,30 +253,39 @@ def _complete_flags(group, max_len: int):
     the tail, characters ranked as in group.characters().  None is shorter
     than the group order.
 
-    The tail is extended depth first, and a prefix is dropped as soon as the
+    The tail is extended depth first, on an explicit stack so that no flag
+    length nears the recursion limit, and a prefix is dropped as soon as the
     slots left cannot hold the characters it still lacks, so no incomplete
     flag is ever built."""
     chars = group.characters()
     order = len(chars)
-    prefix = [chars[0]]
-    uses = [1] + [0] * (order - 1)  # occurrences of each character in prefix
-
-    def extend(left: int, missing: int):
-        if not left:
-            yield Flag._of(group, tuple(prefix))
-            return
-        for i, c in enumerate(chars):
-            lacking = missing - (not uses[i])
-            if lacking >= left:
+    for length in range(order, max_len + 1):
+        prefix = [chars[0]]
+        uses = [1] + [0] * (order - 1)  # occurrences of each character in prefix
+        missing = order - 1  # characters that prefix lacks
+        placed = []  # the index in chars of each tail entry of prefix
+        i = 0  # the next index to try in the open slot
+        while True:
+            left = length - len(prefix)  # open slots, this one included
+            if not left:
+                yield Flag._of(group, tuple(prefix))
+                i = order
+            while i < order and missing - (not uses[i]) >= left:
+                i += 1
+            if i < order:
+                missing -= not uses[i]
+                uses[i] += 1
+                prefix.append(chars[i])
+                placed.append(i)
+                i = 0
                 continue
-            uses[i] += 1
-            prefix.append(c)
-            yield from extend(left - 1, lacking)
+            if not placed:
+                break
+            i = placed.pop()
             prefix.pop()
             uses[i] -= 1
-
-    for length in range(order, max_len + 1):
-        yield from extend(length - 1, order - 1)
+            missing += not uses[i]
+            i += 1
 
 
 def _duality_cases(groups, max_flag_len: int, augmentation):
@@ -323,10 +385,11 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
             m = mono(counts)
             c = _random_coeff(rng, flag.group)
             terms[m] = terms[m] + c if m in terms else c
-        # positive exponents, coefficients over the group
-        x = SymPoly._of(flag, shift, terms)
-        if not x.is_zero:
-            return x
+        # positive exponents, coefficients over the group; drawn terms on
+        # one monomial can cancel
+        terms = {m: c for m, c in terms.items() if c.terms}
+        if terms:
+            return SymPoly._of(flag, shift, terms)
 
 
 def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -> dict:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import time
 
@@ -393,3 +394,125 @@ def test_failing_report_matches_schema(monkeypatch, tmp_path, capsys):
     assert failed["check_specialization_collapse"]["cases"] == 63
     assert failed["check_mutation_sensitivity"]["counterexample"]["detail"]["group"] == "Z2"
     assert doc["status"] == "fail"
+
+
+# the complete-flag walk and the remaining budgets ----------------------------
+
+
+def _recursive_complete_flags(group, max_len: int) -> list:
+    """The complete flags by the recursive walk: one call per flag entry."""
+    chars = group.characters()
+    order = len(chars)
+    prefix = [chars[0]]
+    uses = [1] + [0] * (order - 1)
+    out = []
+
+    def extend(left: int, missing: int):
+        if not left:
+            out.append(tuple(prefix))
+            return
+        for i, c in enumerate(chars):
+            lacking = missing - (not uses[i])
+            if lacking >= left:
+                continue
+            uses[i] += 1
+            prefix.append(c)
+            extend(left - 1, lacking)
+            prefix.pop()
+            uses[i] -= 1
+
+    for length in range(order, max_len + 1):
+        extend(length - 1, order - 1)
+    return out
+
+
+@pytest.mark.parametrize("gspec", ["1", "Z2", "Z3", "Z4", "Z2xZ2"])
+def test_complete_flags_come_in_the_order_of_the_recursive_walk(gspec):
+    group = verify.parse_group(gspec)
+    for max_len in range(1, 8):
+        flags = _complete_flags(group, max_len)
+        assert not isinstance(flags, list)  # a generator, as tests patch it
+        assert [f.chars for f in flags] == _recursive_complete_flags(group, max_len)
+
+
+def test_the_trivial_group_sweeps_flags_of_length_1000():
+    cfg = SweepConfig(groups=("1",), max_flag_len=1000)
+    flags = list(_complete_flags(verify.parse_group("1"), 1000))
+    assert [f.length for f in flags] == list(range(1, 1001))
+    result = check_coaug_duality(cfg)
+    assert (result.status, result.cases) == ("pass", 1000)
+
+
+def test_retraction_case_count_equals_the_reported_cases(monkeypatch):
+    # a random combination of the basis monomials with coefficients 1 never
+    # cancels, so the count is exact
+    for seed in (1, 3, 4):
+        report = check_retraction(SweepConfig(rng_seed=seed))
+        assert report.cases == 12 * verify.retraction_case_count(5, 4) == 5_712
+    one = verify.CoeffPoly.one
+    monkeypatch.setattr(verify, "_random_coeff", lambda rng, group: one(group))
+    for max_index, max_dimension in ((1, 1), (1, 9), (3, 3), (6, 2), (2, 6)):
+        cfg = SweepConfig(groups=("1", "Z3"), max_index=max_index, max_dimension=max_dimension)
+        count = 2 * verify.retraction_case_count(max_index, max_dimension)
+        assert check_retraction(cfg).cases == count
+        assert count == 2 * (
+            math.comb(max_index + max_dimension + 2, max_dimension + 1) - 1 + 3 * (max_dimension + 1)
+        )
+
+
+def test_the_default_and_ci_configs_are_within_every_budget():
+    for groups, max_flag_len in (
+        (default_config().groups, 6),
+        (("Z7",), 7),
+        (("Z2xZ4",), 8),
+        (("Z8", "Z2xZ4", "Z2xZ2xZ2"), 8),
+        (("Z3xZ3",), 9),
+        (("1",), 1000),
+    ):
+        SweepConfig(groups=groups, max_flag_len=max_flag_len)
+    assert verify.duality_sizes(("1",), 1000) == (1000, 501_500)
+    assert verify.duality_sizes(("Z3xZ3",), 9) == (362_880, 3_628_800)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("groups = 1\nmax_index = 10000\n",
+         "{p}: the retraction check over groups 1 at max_index 10000 and max_dimension 4 "
+         "would run over 300000 cases"),
+        ("groups = 1\nmax_index = 1\nmax_dimension = 1000000000000000000\n",
+         "{p}: the retraction check over groups 1 at max_index 1 and max_dimension "
+         "1000000000000000000 would run over 300000 cases"),
+        ("groups = Z2\nrandom_cases = 100000000\n",
+         "{p}: random_cases 100000000 x 1 groups x (max_dimension 4 + 1) is over the budget "
+         "of 250000"),
+        ("groups = 1\nmax_flag_len = 10000\n",
+         "{p}: the duality sweep over groups 1 at max_flag_len 10000 would compare over "
+         "10000000 coefficients"),
+    ],
+    ids=["retraction-index", "retraction-dimension", "random", "duality-coefficients"],
+)
+def test_configs_over_the_remaining_budgets_exit_3_before_any_check(tmp_path, capsys, text, message):
+    from equibord.cli import main
+
+    p = tmp_path / "big.cfg"
+    p.write_text(text)
+    t0 = time.perf_counter()
+    rc = main(["verify", "--config", str(p)])
+    assert time.perf_counter() - t0 < 0.05
+    assert (rc, *capsys.readouterr()) == (3, "", f"error: {message.format(p=p)}\n")
+
+
+def test_each_budget_is_refused_one_past_its_limit():
+    # random_cases x groups x (max_dimension + 1) at the budget and one past it
+    SweepConfig(groups=("Z2",), random_cases=50_000, max_dimension=4)
+    with pytest.raises(PreconditionError, match="is over the budget of 250000"):
+        SweepConfig(groups=("Z2",), random_cases=50_001, max_dimension=4)
+    # the trivial group's duality sweep compares L(L + 3) / 2 coefficients
+    SweepConfig(groups=("1",), max_flag_len=4470)  # 9,997,155
+    with pytest.raises(PreconditionError, match="would compare over 10000000 coefficients"):
+        SweepConfig(groups=("1",), max_flag_len=4471)  # 10,001,627
+    # the retraction count of max_index 1 is (D + 2)(D + 3) / 2 - 1 + 3(D + 1)
+    SweepConfig(groups=("1",), max_index=1, max_dimension=769, random_cases=1)  # 299,915
+    with pytest.raises(PreconditionError, match="would run over 300000 cases"):
+        SweepConfig(groups=("1",), max_index=1, max_dimension=770, random_cases=1)  # 300,690
