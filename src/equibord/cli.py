@@ -99,9 +99,19 @@ def _coaug_section(flag, asg) -> tuple:
     return lines, entries
 
 
+# the most values theta-table prints, order x (flag length + 1), checked before
+# any row is built: 0.5-3 s at the limit (Z10000 at length 1, Z141 at 140)
+MAX_TABLE_ENTRIES = 20_000
+
+
 def cmd_theta_table(args) -> int:
     group, flag, asg = _resolve_context(args)
     n = flag.length
+    if group.order * (n + 1) > MAX_TABLE_ENTRIES:
+        raise PreconditionError(
+            f"theta-table over {group} at flag length {n} would print "
+            f"{group.order} x {n + 1} values, over the limit of {MAX_TABLE_ENTRIES}"
+        )
     rows = [
         (al, [specialized(aug(flag, al, i), asg) for i in range(n + 1)])
         for al in group.characters()

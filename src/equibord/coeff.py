@@ -13,18 +13,7 @@ from __future__ import annotations
 from .errors import MismatchError, PreconditionError
 from .groups import AbelianGroup, Character, Representation, format_residues
 from .render import flat_terms, join_signed, signed_product
-from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono_mul, mul_terms, power, sorted_terms,
-)
-
-def _grlex(group: AbelianGroup):
-    """Graded-lex key on Euler monomials, nontrivial characters in a fixed
-    order; built once per group object and kept on it."""
-    key = group._euler_key
-    if key is None:
-        nontrivial = [c.residues for c in group.characters() if not c.is_trivial]
-        key = group._euler_key = grlex_key({rs: i for i, rs in enumerate(nontrivial)})
-    return key
+from .sparse import RingOps, add_terms, divexact_terms, mono_mul, mul_terms, power, sorted_terms
 
 
 def _int_divexact(a: int, b: int) -> int | None:
@@ -138,7 +127,7 @@ class CoeffPoly(RingOps):
             raise PreconditionError("division by zero coefficient polynomial")
         if self.is_zero:
             return self
-        quot = divexact_terms(self.terms, rhs.terms, _grlex(self.group), _int_divexact, 0)
+        quot = divexact_terms(self.terms, rhs.terms, _int_divexact, 0)
         return None if quot is None else CoeffPoly(self.group, quot)
 
     def specialize(self, assignment: dict) -> "CoeffPoly":
@@ -148,12 +137,8 @@ class CoeffPoly(RingOps):
         """
         return specializer(self.group, assignment)(self)
 
-    def sorted_terms(self) -> list:
-        """Terms in descending graded-lex order."""
-        return sorted_terms(self.terms, _grlex(self.group))
-
     def flat_terms(self) -> list:
-        return flat_terms(self.terms, _grlex(self.group), "e", format_residues, None)
+        return flat_terms(self.terms, "e", format_residues, None)
 
     def __str__(self):
         return join_signed([signed_product(c, syms) for c, syms in self.flat_terms()])
@@ -164,7 +149,7 @@ class CoeffPoly(RingOps):
                 "coeff": c,
                 "exponents": {format_residues(rs): k for rs, k in m},
             }
-            for m, c in self.sorted_terms()
+            for m, c in sorted_terms(self.terms)
         ]
 
     def __repr__(self):

@@ -29,7 +29,7 @@ from collections import Counter
 from .coeff import CoeffPoly
 from .errors import PreconditionError, SpecParseError
 from .flags import Flag
-from .groups import parse_character
+from .groups import parse_character, parse_int
 from .symalg import (
     FAMILIES,
     _FAMILY_SHIFT,
@@ -124,7 +124,7 @@ def _tokenize(text: str) -> list:
         if m.group("atom") is not None:
             tokens.append(("atom", (m.group("atom"), m.group("payload")), m.start(1)))
         elif m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start(1)))
+            tokens.append(("int", parse_int(m.group("int"), "the expression"), m.start(1)))
         else:
             tokens.append(("op", m.group("op"), m.start(1)))
         pos = m.end()
@@ -296,7 +296,7 @@ class _Parser:
                 raise SpecParseError(
                     f"{name}[{payload}]: the index must be a nonnegative integer"
                 )
-            i = int(payload)
+            i = parse_int(payload, "the expression")
             if name == "beta":
                 return _Val(SymPoly.var(self.ctx.flag, self.ctx.shift, i))
             self._check_family(name)

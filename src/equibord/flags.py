@@ -46,7 +46,7 @@ class Flag:
     @classmethod
     def _of(cls, group: AbelianGroup, chars: tuple) -> "Flag":
         """Wrap a nonempty tuple of group's characters, the first trivial,
-        such as one drawn from group.characters(); nothing is checked."""
+        such as one drawn by rank from group; nothing is checked."""
         flag = object.__new__(cls)
         flag._fill(group, chars)
         return flag
@@ -65,11 +65,11 @@ class Flag:
 
     @classmethod
     def cyclic(cls, group: AbelianGroup, length: int) -> "Flag":
-        """Default flag: cycle through all characters in lexicographic order."""
+        """Default flag: cycle through the characters by rank, unranking at most length."""
         if length < 1:
             raise PreconditionError("flag length must be at least 1")
-        allc = group.characters()
-        return cls(group, tuple(allc[i % len(allc)] for i in range(length)))
+        ranked = [group.unrank(i) for i in range(min(length, group.order))]
+        return cls._of(group, tuple(ranked[i % len(ranked)] for i in range(length)))
 
     def rep(self, i: int) -> Representation:
         """The i-th stage V_i as a representation; V_0 is zero."""

@@ -11,7 +11,6 @@ the --specialize and --config options.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from math import prod
 from operator import attrgetter
@@ -32,10 +31,9 @@ class AbelianGroup:
 
     # _interned maps a residue tuple to the group's one Character for it; it
     # fills on first use, so even a huge group costs nothing per character
-    # until its characters are asked for.  _characters is the tuple of all of
-    # them, enumerated on the first call to characters().  _euler_key is the
-    # coefficient ring's graded-lex key, built by coeff on first use, and
-    # _nontrivial the nontrivial characters the verify sweeps draw from.
+    # until its characters are asked for, by rank or all together.
+    # _characters is the tuple of all of them, by rank, unranked on the
+    # first call to characters().
     # _residue_sums[a][b] is the residue sum a + b, filled on demand by coaug.
     # _euler_nodes maps an Euler monomial to coaug's node for it: the
     # monomial's one-term CoeffPoly and {residue sum: next node}.
@@ -43,8 +41,8 @@ class AbelianGroup:
     # Representation of that multiset of characters: the flag stage that
     # Flag.rep reaches and whose twisted Euler classes aug remembers.  It
     # fills as flags of the group build their stages.
-    __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_euler_key",
-                 "_nontrivial", "_residue_sums", "_euler_nodes", "_stages")
+    __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_residue_sums",
+                 "_euler_nodes", "_stages")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -53,7 +51,6 @@ class AbelianGroup:
         self.cyclic_orders = orders
         self._interned: dict[tuple, Character] = {}
         self._characters: tuple | None = None
-        self._euler_key = self._nontrivial = None
         self._residue_sums: dict[tuple, dict] = {}
         self._euler_nodes: dict[tuple, tuple] = {}
         self._stages: dict[tuple, Representation] = {}
@@ -72,14 +69,20 @@ class AbelianGroup:
             )
         return Character._of(self, tuple(int(r) % n for r, n in zip(rs, self.cyclic_orders)))
 
+    def unrank(self, i: int) -> "Character":
+        """The character of rank i mod the order: i in the mixed radix of the
+        cyclic orders, the last fastest.  Rank is the one order of the
+        characters, ascending by residues; the trivial one has rank 0."""
+        rs = []
+        for n in reversed(self.cyclic_orders):
+            i, r = divmod(i, n)
+            rs.append(r)
+        return Character._of(self, tuple(reversed(rs)))
+
     def characters(self) -> list["Character"]:
-        """All characters in lexicographic order, as a new list; the trivial
-        one comes first."""
+        """All characters by rank, as a new list; the trivial one comes first."""
         if self._characters is None:
-            self._characters = tuple(
-                Character._of(self, rs)
-                for rs in itertools.product(*(range(n) for n in self.cyclic_orders))
-            )
+            self._characters = tuple(map(self.unrank, range(self.order)))
         return list(self._characters)
 
     def __eq__(self, other):
@@ -251,6 +254,18 @@ class Representation:
         return f"Representation({self.group}, {self.summands!r})"
 
 
+MAX_INT_DIGITS = 4_300  # CPython's default int <-> str limit, past which int() raises
+
+
+def parse_int(digits: str, where: str) -> int:
+    """int(digits) for decimal input text, refused over MAX_INT_DIGITS digits."""
+    if (k := len(digits.removeprefix("-"))) > MAX_INT_DIGITS:
+        raise SpecParseError(
+            f"an integer in {where} has {k} digits, over the limit of {MAX_INT_DIGITS}"
+        )
+    return int(digits)
+
+
 def parse_group(text: str) -> AbelianGroup:
     """Parse "1" or "Zn1xZn2x..." into a group."""
     s = text.strip()
@@ -259,9 +274,7 @@ def parse_group(text: str) -> AbelianGroup:
     orders = []
     for part in s.split("x"):
         part = part.strip()
-        if not part.startswith("Z") or not part[1:].isdecimal():
-            raise SpecParseError(f"bad cyclic factor {part!r} in group {text!r}")
-        n = int(part[1:])
+        n = parse_int(part[1:], "the group") if part[:1] == "Z" and part[1:].isdecimal() else 0
         if n < 1:
             raise SpecParseError(f"bad cyclic factor {part!r} in group {text!r}")
         orders.append(n)
@@ -287,7 +300,7 @@ def parse_character(group: AbelianGroup, text: str) -> Character:
     for p, n in zip(parts, group.cyclic_orders):
         if not p.removeprefix("-").isdecimal():
             raise SpecParseError(f"bad residue {p!r} in character {text!r}")
-        r = int(p)
+        r = parse_int(p, "a character")
         if not 0 <= r < n:
             raise SpecParseError(f"residue {p!r} out of range [0,{n}) in character {text!r}")
         residues.append(r)

@@ -31,16 +31,16 @@ def join_signed(parts: list) -> str:
     return "".join(out)
 
 
-def flat_terms(terms: dict, key, name: str, fmt, inner) -> list:
+def flat_terms(terms: dict, name: str, fmt, inner) -> list:
     """A sparse polynomial's terms as (int coefficient, factor strings)
-    pairs, in descending key order.
+    pairs, in descending graded-lex order.
 
     Variable v renders as name[fmt(v)].  inner is None for integer
     coefficients; when the coefficients are polynomials themselves, inner(c)
     gives their flat terms, whose factors come first in each product.
     """
     out = []
-    for m, c in sorted_terms(terms, key):
+    for m, c in sorted_terms(terms):
         syms = [format_power(f"{name}[{fmt(v)}]", k) for v, k in m]
         if inner is None:
             out.append((c, syms))

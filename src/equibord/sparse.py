@@ -64,25 +64,24 @@ def mono_degree(m: Mono) -> int:
     return sum(k for _, k in m)
 
 
-def grlex_key(slots):
-    """Graded-lex sort key on monomials: total degree, then the exponent
-    vector with variable v in position slots[v]."""
-    width = len(slots)
-
-    def key(m: Mono):
-        vec = [0] * width
-        total = 0
-        for v, k in m:
-            vec[slots[v]] = k
-            total += k
-        return (total, tuple(vec))
-
+def grlex(m: Mono) -> list:
+    """Sort key of the one monomial order: ascending keys are descending
+    graded-lex order.  The total degree is negated and each (v, k) becomes
+    (v, -k); a monomial whose pairs begin another's has a lower degree, so
+    no end marker is needed.  Variables compare as they are: beta indices
+    as ints, characters as residue tuples, in AbelianGroup.unrank's order."""
+    key = [0]
+    total = 0
+    for v, k in m:
+        total += k
+        key.append((v, -k))
+    key[0] = -total
     return key
 
 
-def sorted_terms(terms: dict, key) -> list:
-    """(monomial, coefficient) pairs in descending key order."""
-    return sorted(terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+def sorted_terms(terms: dict) -> list:
+    """(monomial, coefficient) pairs in descending graded-lex order."""
+    return [(m, terms[m]) for m in sorted(terms, key=grlex)]
 
 
 def add_terms(t1: dict, t2: dict) -> dict:
@@ -135,20 +134,20 @@ def power(x, n: int):
     return out
 
 
-def divexact_terms(num: dict, den: dict, key, coeff_div, zero) -> dict | None:
+def divexact_terms(num: dict, den: dict, coeff_div, zero) -> dict | None:
     """Exact quotient of nonzero term dicts num / den, or None when it does
     not exist.
 
-    Leading-term division in the order of key; sound for exact quotients
+    Leading-term division in graded-lex order; sound for exact quotients
     over an integral domain.  coeff_div(a, b) is the exact quotient of
     coefficients or None, and zero is the coefficients' zero.
     """
-    lt_m = max(den, key=key)
+    lt_m = min(den, key=grlex)
     lt_c = den[lt_m]
     rem = dict(num)
     quot: dict = {}
     while rem:
-        m = max(rem, key=key)
+        m = min(rem, key=grlex)
         qm = mono_div(m, lt_m)
         if qm is None:
             return None

@@ -27,8 +27,7 @@ from .flags import Flag, coaug
 from .groups import Character, format_residues
 from .render import flat_terms, format_power, join_signed, signed_product, specialized
 from .sparse import (
-    RingOps, add_terms, divexact_terms, grlex_key, mono_degree, mono_mul, mul_terms,
-    power, sorted_terms,
+    RingOps, add_terms, divexact_terms, mono_degree, mono_mul, mul_terms, power, sorted_terms,
 )
 
 SHIFTS = (-2, 0, 2)
@@ -39,24 +38,19 @@ _FAMILY_SHIFT = {family: shift for shift, family in FAMILIES.items()}
 BetaMono = tuple  # a sparse-kernel monomial in beta (or generator) indices
 
 
-def _beta_key(flag: Flag):
-    """Graded-lex key on monomials in beta_0..beta_N."""
-    return grlex_key(range(flag.length + 1))
-
-
 def _term_parts(num: "SymPoly", name: str) -> list:
     """The terms of num as signed products, its variables written name[i]."""
     return [
         signed_product(c, syms)
-        for c, syms in flat_terms(num.terms, _beta_key(num.flag), name, str, CoeffPoly.flat_terms)
+        for c, syms in flat_terms(num.terms, name, str, CoeffPoly.flat_terms)
     ]
 
 
 def _terms_json(num: "SymPoly", name: str) -> list:
     """The terms of num as JSON objects, its variable exponents under name."""
     out = []
-    for m, c in sorted_terms(num.terms, _beta_key(num.flag)):
-        for cm, ci in c.sorted_terms():
+    for m, c in sorted_terms(num.terms):
+        for cm, ci in sorted_terms(c.terms):
             out.append(
                 {
                     "coeff": ci,
@@ -205,8 +199,7 @@ class SymPoly(RingOps):
         if self.is_zero:
             return self
         quot = divexact_terms(
-            self.terms, rhs.terms, _beta_key(self.flag), CoeffPoly.divexact,
-            CoeffPoly.zero(self.flag.group),
+            self.terms, rhs.terms, CoeffPoly.divexact, CoeffPoly.zero(self.flag.group)
         )
         return None if quot is None else SymPoly._of(self.flag, self.shift, quot)
 
@@ -785,7 +778,9 @@ def presentation(theory: str, flag: Flag, shift: int | None = None, assignment: 
         what = "periodic presentation" if periodic else "presentation"
         raise PreconditionError(f"the connective {what} has shift {shifts[0]:+d}")
     if mode == "MUP" and not flag.is_complete:
-        missing = next(c for c in group.characters() if flag.first_index(c) is None)
+        # the flag holds at most its length of characters, so this stops by then
+        ranked = map(group.unrank, range(group.order))
+        missing = next(c for c in ranked if flag.first_index(c) is None)
         raise PreconditionError(
             f"flag truncation is missing character {missing}; every "
             "coaugmentation class must be invertible for this theory"

@@ -42,18 +42,7 @@ from .symalg import (
 )
 
 DEFAULT_GROUPS = (
-    "1",
-    "Z2",
-    "Z3",
-    "Z4",
-    "Z2xZ2",
-    "Z5",
-    "Z6",
-    "Z2xZ3",
-    "Z7",
-    "Z8",
-    "Z2xZ4",
-    "Z2xZ2xZ2",
+    "1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z2xZ3", "Z7", "Z8", "Z2xZ4", "Z2xZ2xZ2",
 )
 
 
@@ -74,6 +63,10 @@ MAX_RETRACTION_CASES = 300_000
 # random checks 150-300 us together, and a drawn numerator's dimension goes
 # up to max_dimension (+ 2 in the periodicity check).
 MAX_RANDOM_DRAWS = 250_000
+# check_specialization_collapse walks every character over a cyclic flag as
+# long as the group order, order^2 pairs per group: 3-9 s at order 400 (Z400
+# and five-factor groups).  So no group too large to list ever gets that far.
+MAX_COLLAPSE_PAIRS = 160_000
 
 
 def _check_field(name: str, value):
@@ -173,6 +166,11 @@ class SweepConfig:
                 f"random_cases {self.random_cases} x {len(self.groups)} groups x "
                 f"(max_dimension {self.max_dimension} + 1) is over the budget of "
                 f"{MAX_RANDOM_DRAWS}"
+            )
+        if sum(parse_group(g).order ** 2 for g in self.groups) > MAX_COLLAPSE_PAIRS:
+            raise PreconditionError(
+                f"the collapse check over groups {groups} would walk over "
+                f"{MAX_COLLAPSE_PAIRS} (character, flag entry) pairs"
             )
 
     def to_json(self) -> dict:
@@ -346,16 +344,14 @@ def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     """A unit, a signed Euler symbol, a product of two Euler symbols or a
     small constant, built from its one term."""
     bits = rng.getrandbits
-    nontrivial = group._nontrivial
-    if nontrivial is None:  # the trivial character sorts first
-        nontrivial = group._nontrivial = tuple(group.characters()[1:])
-    n = len(nontrivial)
+    chars = group._characters or group.characters()  # by rank: the trivial one is first
+    n = len(chars) - 1
     kind = _below(bits, 4) if n else 0
     if kind == 1:
         sign = (1, -1)[_below(bits, 2)]  # drawn before the character
-        term = {((nontrivial[_below(bits, n)].residues, 1),): sign}
+        term = {((chars[1 + _below(bits, n)].residues, 1),): sign}
     elif kind == 2:
-        a, b = sorted((nontrivial[_below(bits, n)].residues, nontrivial[_below(bits, n)].residues))
+        a, b = sorted((chars[1 + _below(bits, n)].residues, chars[1 + _below(bits, n)].residues))
         term = {((a, 2),) if a == b else ((a, 1), (b, 1)): 1}
     else:
         units = (1, -1) if kind == 0 else (2, -2, 3)
