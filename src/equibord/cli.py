@@ -3,7 +3,9 @@
 Commands: theta-table, thetas, present, rewrite, eval, verify, man.
 Text output is deterministic; JSON output carries a "schema" tag and
 validates against the documents under schemas/.  Exit status: 0 success,
-1 verification failure, 2 parse error, 3 precondition violation.
+1 verification failure, 2 parse error, 3 precondition violation, and
+EXIT_CLOSED_PIPE when standard output is closed before everything is
+written to it, as when the output is piped into `head`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -372,17 +375,30 @@ def build_parser():
     return parser
 
 
+# the exit status of a command whose standard output is closed before all
+# of it is written: 128 + SIGPIPE, as the shell reports a process that the
+# signal ends
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is still buffered for the closed stdout goes nowhere, and so
+        # does the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ first occurrence of alpha in the flag.
 
 from __future__ import annotations
 
-from .coeff import CoeffPoly, euler_class, specializer
+from .coeff import CoeffPoly, euler_class, specialized_terms, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
-from .groups import AbelianGroup, Character, Representation, parse_character
+from .groups import AbelianGroup, Character, Representation, euler_unit, parse_character
 from .render import join_signed, signed_product
-from .sparse import mono_mul
+from .sparse import W
 
 
 class Flag:
@@ -27,10 +27,11 @@ class Flag:
     V_0..V_N are looked up together on the first call to rep, each the
     group's one object for its multiset, reached from the one before
     through the character added.  _thetas keeps the inverted classes that
-    symalg builds over the flag.
+    symalg builds over the flag.  _eoff is W * (length + 1), the shift of
+    the Euler part of a SymPoly's packed monomial above its beta slots.
     """
 
-    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages", "_thetas")
+    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages", "_thetas", "_eoff")
 
     def __init__(self, group: AbelianGroup, chars):
         cs = tuple(chars)
@@ -55,6 +56,7 @@ class Flag:
         self.group = group
         self.chars = cs
         self.length = len(cs)
+        self._eoff = W * (len(cs) + 1)
         self._hash = hash((group.cyclic_orders, cs))
         first: dict[Character, int] = {}
         for i, c in enumerate(cs, start=1):
@@ -76,7 +78,7 @@ class Flag:
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
         if self._stages is None:
-            stage = Representation._stage(self.group, (), ())
+            stage = Representation._stage(self.group, (0, 0))
             stages = [stage]
             for c in self.chars:
                 stage = stage._next.get(c.residues) or stage._plus(c)
@@ -196,9 +198,14 @@ class ProjClass:
     def specialize(self, assignment: dict) -> "ProjClass":
         """Apply a coefficient-ring map to every basis coefficient; the
         assignment is checked first, entry by entry, even on zero."""
-        spec = specializer(self.flag.group, assignment)
+        group = self.flag.group
+        image = specializer(group, assignment)
         # a symbol sent to zero can kill a coefficient
-        coeffs = {i: s for i, c in self.coeffs.items() if (s := spec(c)).terms}
+        coeffs = {
+            i: CoeffPoly._of(group, t)
+            for i, c in self.coeffs.items()
+            if (t := specialized_terms(c.packed, image))
+        }
         return ProjClass._of(self.flag, coeffs)
 
     def __str__(self):
@@ -223,15 +230,30 @@ def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
 
     The value depends only on alpha and the stage as a multiset, so the
     stage, which every flag of the group with that multiset shares,
-    remembers it by alpha's residues."""
+    remembers it by alpha's residues.  When stage i - 1 remembers its
+    value, stage i's is that value times the Euler symbol of the one
+    summand added, alpha^{-1} times the flag's i-th character; otherwise
+    it is the Euler class of the stage twisted whole.  So a walk up the
+    stages in order costs one symbol per stage."""
     if alpha.group is not flag.group and alpha.group != flag.group:
         raise MismatchError("character of a different group")
     if i == 0:
         return CoeffPoly.one(flag.group)
     stage = flag.rep(i)
-    value = stage._augs.get(alpha.residues)
+    key = alpha.residues
+    value = stage._augs.get(key)
     if value is None:
-        value = stage._augs[alpha.residues] = euler_class(stage.tensor(alpha.inverse()))
+        prev = flag.rep(i - 1)._augs.get(key) if i > 1 else None
+        if prev is None:
+            value = euler_class(stage.tensor(alpha.inverse()))
+        else:
+            twist = alpha.inverse() * flag.chars[i - 1]
+            if not prev.packed or twist.is_trivial:
+                value = CoeffPoly._of(flag.group, {})
+            else:
+                (m,) = prev.packed  # an Euler class is one monomial or zero
+                value = CoeffPoly._of(flag.group, {m + euler_unit(flag.group, twist.residues): 1})
+        stage._augs[key] = value
     return value
 
 
@@ -256,9 +278,9 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
     inv = alpha.inverse().residues
     sums = group._residue_sums.setdefault(inv, {})
     nodes = group._euler_nodes
-    node = nodes.get(())
+    node = nodes.get(0)
     if node is None:
-        node = nodes[()] = (CoeffPoly._of(group, {(): 1}), {})
+        node = nodes[0] = (CoeffPoly._of(group, {0: 1}), {})
     coeffs: dict[int, CoeffPoly] = {0: node[0]}
     chars = flag.chars
     for i in range(1, j):
@@ -268,8 +290,8 @@ def coaug(flag: Flag, alpha: Character) -> ProjClass:
             rs = sums[chi] = tuple((a + b) % n for a, b, n in zip(inv, chi, group.cyclic_orders))
         nxt = node[1].get(rs)
         if nxt is None:
-            (m,) = node[0].terms
-            m = mono_mul(m, ((rs, 1),))
+            (m,) = node[0].packed
+            m += euler_unit(group, rs)
             nxt = nodes.get(m)
             if nxt is None:
                 nxt = nodes[m] = (CoeffPoly._of(group, {m: 1}), {})
@@ -288,5 +310,5 @@ def coaug_via_duality(flag: Flag, alpha: Character, augmentation=aug) -> ProjCla
     routes can be driven apart deliberately in sensitivity checks.
     """
     flag.occurrence(alpha)
-    coeffs = {i: c for i in range(flag.length + 1) if (c := augmentation(flag, alpha, i)).terms}
+    coeffs = {i: c for i in range(flag.length + 1) if (c := augmentation(flag, alpha, i)).packed}
     return ProjClass._of(flag, coeffs)

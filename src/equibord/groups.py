@@ -11,11 +11,11 @@ the --specialize and --config options.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import prod
 from operator import attrgetter
 
 from .errors import MismatchError, PreconditionError, SpecParseError
+from .sparse import MAX_INT_DIGITS, W, fields
 
 
 def format_residues(residues) -> str:
@@ -35,14 +35,18 @@ class AbelianGroup:
     # _characters is the tuple of all of them, by rank, unranked on the
     # first call to characters().
     # _residue_sums[a][b] is the residue sum a + b, filled on demand by coaug.
-    # _euler_nodes maps an Euler monomial to coaug's node for it: the
+    # _euler_nodes maps a packed Euler monomial to coaug's node for it: the
     # monomial's one-term CoeffPoly and {residue sum: next node}.
-    # _stages maps a sorted tuple of residue tuples to the group's one
-    # Representation of that multiset of characters: the flag stage that
-    # Flag.rep reaches and whose twisted Euler classes aug remembers.  It
-    # fills as flags of the group build their stages.
+    # _euler_units maps the residues of a nontrivial character to the packed
+    # monomial of its Euler symbol, 1 << W*slot, and _euler_symbols lists
+    # the residues by slot: euler_unit gives a symbol the next slot the
+    # first time it is used.
+    # _stages maps the key of a multiset of characters (Representation._key)
+    # to the group's one Representation of it: the flag stage that Flag.rep
+    # reaches and whose twisted Euler classes aug remembers.  It fills as
+    # flags of the group build their stages.
     __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_residue_sums",
-                 "_euler_nodes", "_stages")
+                 "_euler_nodes", "_euler_units", "_euler_symbols", "_stages")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -52,7 +56,9 @@ class AbelianGroup:
         self._interned: dict[tuple, Character] = {}
         self._characters: tuple | None = None
         self._residue_sums: dict[tuple, dict] = {}
-        self._euler_nodes: dict[tuple, tuple] = {}
+        self._euler_nodes: dict[int, tuple] = {}
+        self._euler_units: dict[tuple, int] = {}
+        self._euler_symbols: list[tuple] = []
         self._stages: dict[tuple, Representation] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 
@@ -192,6 +198,25 @@ class Character:
 _by_residues = attrgetter("residues")
 
 
+def euler_unit(group: AbelianGroup, residues: tuple) -> int:
+    """The packed monomial of the Euler symbol of the nontrivial character
+    of group with these residues: 1 in the symbol's slot, which is the
+    group's next free one when the symbol is first used."""
+    u = group._euler_units.get(residues)
+    if u is None:
+        symbols = group._euler_symbols
+        u = group._euler_units[residues] = 1 << (W * len(symbols))
+        symbols.append(residues)
+    return u
+
+
+def unpack_euler(group: AbelianGroup, e: int) -> tuple:
+    """The packed Euler monomial e of group as ((residues, exponent), ...),
+    sorted by residues."""
+    symbols = group._euler_symbols
+    return tuple(sorted((symbols[s], k) for s, k in fields(e)))
+
+
 class Representation:
     """Finite multiset of characters; the empty multiset is the zero representation.
 
@@ -201,45 +226,63 @@ class Representation:
     characters already known to belong to group.
 
     Representation(group, chars) builds a new object that nothing
-    remembers and that remembers nothing: its _next and _augs are None.  A
-    flag stage is instead the group's one object for its multiset, kept in
-    group._stages, and it remembers two tables, both filled on demand:
-    _next maps a character's residues to the stage with that character
-    added, and _augs maps a character alpha's residues to the Euler class
-    of the alpha^{-1}-twisted stage, the augmentation value that aug reads.
+    remembers and that remembers nothing: its _key, _next and _augs are
+    None.  A flag stage is instead the group's one object for its multiset,
+    kept in group._stages under its _key: the number of trivial summands
+    and the packed Euler monomial of the others, the product of their
+    symbols.  A stage's summands are unpacked from its key when first
+    read, so a walk up a flag's stages costs one key per stage, not a
+    tuple of every summand.  A stage remembers two tables, both filled on
+    demand: _next maps a character's residues to the stage with that
+    character added, and _augs maps a character alpha's residues to the
+    Euler class of the alpha^{-1}-twisted stage, the augmentation value
+    that aug reads.
     """
 
-    __slots__ = ("group", "summands", "_next", "_augs")
+    __slots__ = ("group", "_summands", "_key", "_next", "_augs")
 
     def __init__(self, group: AbelianGroup, chars):
         self.group = group
-        self.summands = tuple(sorted(chars, key=_by_residues))
-        self._next = self._augs = None
+        self._summands = tuple(sorted(chars, key=_by_residues))
+        self._key = self._next = self._augs = None
 
     @classmethod
-    def _stage(cls, group: AbelianGroup, key: tuple, summands: tuple) -> "Representation":
-        """The group's one representation for key, the residues of its
-        summands in order; summands, interned characters of group sorted
-        by residues, are wrapped only when none exists yet."""
+    def _stage(cls, group: AbelianGroup, key: tuple) -> "Representation":
+        """The group's one representation for key, (trivial summands,
+        packed Euler monomial of the others)."""
         rep = group._stages.get(key)
         if rep is None:
             rep = group._stages[key] = object.__new__(cls)
-            rep.group, rep.summands, rep._next, rep._augs = group, summands, {}, {}
+            rep.group, rep._summands, rep._key, rep._next, rep._augs = group, None, key, {}, {}
         return rep
 
     def _plus(self, c: Character) -> "Representation":
         """The stage with one more summand c, a character of the group,
         remembered in _next."""
-        group, rs, summands = self.group, c.residues, self.summands
-        key = tuple(map(_by_residues, summands))
-        j = bisect_right(key, rs)
-        summands = summands[:j] + (Character._of(group, rs),) + summands[j:]
-        nxt = self._next[rs] = Representation._stage(group, key[:j] + (rs,) + key[j:], summands)
+        trivial, e = self._key
+        rs = c.residues
+        key = (trivial, e + euler_unit(self.group, rs)) if any(rs) else (trivial + 1, e)
+        nxt = self._next[rs] = Representation._stage(self.group, key)
         return nxt
 
     @property
+    def summands(self) -> tuple:
+        """The characters, sorted by residues; a stage's are unpacked from
+        its key on first reading."""
+        if self._summands is None:
+            group = self.group
+            trivial, e = self._key
+            chars = [group.identity] * trivial
+            for rs, k in unpack_euler(group, e):
+                chars += [Character._of(group, rs)] * k
+            self._summands = tuple(chars)
+        return self._summands
+
+    @property
     def contains_trivial(self) -> bool:
-        return bool(self.summands) and not any(self.summands[0].residues)
+        if self._key is not None:
+            return self._key[0] > 0
+        return bool(self._summands) and not any(self._summands[0].residues)
 
     def tensor(self, alpha: Character) -> "Representation":
         """Twist every summand by the character alpha, reading the products
@@ -252,9 +295,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation({self.group}, {self.summands!r})"
-
-
-MAX_INT_DIGITS = 4_300  # CPython's default int <-> str limit, past which int() raises
 
 
 def parse_int(digits: str, where: str) -> int:

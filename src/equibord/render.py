@@ -4,7 +4,7 @@ Every layer renders as a flat signed sum of products so output is stable,
 diff-friendly, and parseable by the expression grammar.
 """
 
-from .sparse import sorted_terms
+from .sparse import check_int, sorted_terms
 
 
 def format_power(symbol: str, k: int) -> str:
@@ -12,7 +12,10 @@ def format_power(symbol: str, k: int) -> str:
 
 
 def signed_product(coeff: int, symbol_factors: list) -> tuple:
-    """One flat term as (negative, body); unit coefficients are left implicit."""
+    """One flat term as (negative, body); unit coefficients are left implicit.
+    An int too long to print is refused here (sparse.check_int): every
+    command renders its text, through this function, before any JSON."""
+    check_int(coeff)
     factors = []
     if abs(coeff) != 1 or not symbol_factors:
         factors.append(str(abs(coeff)))

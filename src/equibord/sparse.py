@@ -1,75 +1,118 @@
 """Sparse polynomial kernel shared by the algebra layers.
 
-A polynomial is stored as a dict {monomial: coefficient}.  A monomial is a
-tuple of (variable, exponent) pairs sorted by variable, every exponent
-positive; the empty tuple is the unit monomial.  The variables are
-character residues in the coefficient ring and beta or generator indices
-above it; the coefficients are ints or CoeffPolys.  The functions here work
-on term dicts alone: validation and coercion stay with the classes that
-wrap them.  RingOps gives those classes their subtraction in terms of their
-addition and negation.
+A polynomial is stored as a dict {monomial: nonzero int}.  A monomial is
+one int, a packed exponent vector (Monagan and Pearce): every variable
+owns a slot, and the exponent of the variable in slot s is the W-bit field
+in bits W*s .. W*s + W - 1.  The product of two monomials is the sum of
+their ints, and the unit monomial is 0.
+
+Slots.  In the coefficient ring (coeff.CoeffPoly) the variables are the
+Euler symbols of one group.  Each symbol takes the group's next free slot
+the first time it is used (coeff.euler_unit), never a slot by its rank, so
+a huge group with a short flag keeps small monomials.  In the symmetric
+algebra (symalg.SymPoly) beta_i takes slot i, and the Euler symbols sit
+above the flag's N + 1 beta slots: a term's monomial is its beta part plus
+its Euler monomial shifted left by W*(N + 1), with an int coefficient.
+
+Width and guard bits.  The top bit of every field is a guard bit, so an
+exponent is at most MAX_EXP = 2**(W-1) - 1.  The sum of two monomials
+within the limit never carries out of a field, and a field past the limit
+shows its guard bit: mul_terms checks its result (check), and dividing m
+by d is the subtraction m - d, which is a monomial exactly when no guard
+bit comes out set.
+
+Orders.  Exact division (divexact_terms) takes the leading term as the
+plain max of the packed ints.  That is lex order over the slots, highest
+slot first, a monomial order: adding a monomial to two ints keeps their
+order.  Rendering never sees slots: the classes unpack each monomial into
+(variable, exponent) pairs, beta indices or character residues, and sort
+by grlex, so output does not depend on which slot a symbol was given.
 
 Zero-free contract: a term dict holds no zero coefficient.  add_terms and
 mul_terms keep it, dropping a monomial the moment its coefficient cancels,
 so the classes wrap their results (through _of) without filtering again.
-A product of two nonzero coefficients is never zero: plainly so for ints,
-and CoeffPolys form an integral domain.  Results may share coefficient
-objects with the operands, which is safe as no term dict is ever changed
-in place once wrapped.
+No term dict is ever changed in place once wrapped.
 """
 
 from __future__ import annotations
 
-Mono = tuple  # ((variable, exponent), ...), sorted by variable
+import re
+from functools import lru_cache
+from struct import unpack
+
+from .errors import PreconditionError
+
+MAX_INT_DIGITS = 4_300  # CPython's default int <-> str limit, past which int() raises
+W = 32  # bits per slot
+MAX_EXP = (1 << (W - 1)) - 1  # the largest exponent a field holds
+FIELD = (1 << W) - 1
+
+# a power of an int with at least this many bits has over MAX_INT_DIGITS digits
+MAX_INT_BITS = MAX_INT_DIGITS * 3322 // 1000 + 1  # 3.322 > log2(10)
 
 
-def mono(counts: dict) -> Mono:
-    """The monomial with the given {variable: positive exponent} counts."""
-    return tuple(sorted(counts.items()))
+@lru_cache(maxsize=None)
+def _masks(n: int) -> tuple:
+    """(the guard bits, the top 16 bits) of each of n fields."""
+    ones = ((1 << (W * n)) - 1) // FIELD  # 1 in every field
+    return ones << (W - 1), ones * (0xFFFF << 16)
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    # variables of one operand all sorting before the other's: the
-    # concatenation is already the sorted product
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m2[-1][0] < m1[0][0]:
-        return m2 + m1
-    acc = dict(m1)
-    for v, k in m2:
-        acc[v] = acc.get(v, 0) + k
-    return tuple(sorted(acc.items()))
+def _cover(nbits: int) -> tuple:
+    """_masks over every field in the low nbits bits, or more: the field
+    count is rounded up to a power of two, so few masks are ever built."""
+    return _masks(1 << (nbits // W + 1).bit_length())
 
 
-def mono_div(m: Mono, d: Mono) -> Mono | None:
-    """Divide monomial m by d, or None when not divisible."""
-    acc = dict(m)
-    for v, k in d:
-        have = acc.get(v, 0)
-        if have < k:
-            return None
-        if have == k:
-            del acc[v]
-        else:
-            acc[v] = have - k
-    return tuple(sorted(acc.items()))
+def guard(nbits: int) -> int:
+    """The guard bits of every field in the low nbits bits, or more."""
+    return _cover(nbits)[0]
 
 
-def mono_degree(m: Mono) -> int:
-    """Total exponent."""
-    return sum(k for _, k in m)
+def check(bits: int):
+    """Raise unless every field of bits, an OR of monomials, is within MAX_EXP."""
+    if bits & guard(bits.bit_length()):
+        raise PreconditionError(f"an exponent is over the limit of {MAX_EXP}")
 
 
-def grlex(m: Mono) -> list:
-    """Sort key of the one monomial order: ascending keys are descending
-    graded-lex order.  The total degree is negated and each (v, k) becomes
-    (v, -k); a monomial whose pairs begin another's has a lower degree, so
-    no end marker is needed.  Variables compare as they are: beta indices
-    as ints, characters as residue tuples, in AbelianGroup.unrank's order."""
+def fields(m: int) -> list:
+    """(slot, exponent) pairs of the nonzero fields of m, by slot.  A wide
+    monomial with few nonzero fields, such as beta_N over a long flag, is
+    searched for its nonzero bytes rather than read field by field."""
+    if m <= FIELD:
+        return [(0, m)] if m else []
+    n = (m.bit_length() + W - 1) // W
+    data = m.to_bytes(4 * n, "little")
+    if n <= 16 or 4 * n - data.count(0) > n // 4:
+        return [(s, k) for s, k in enumerate(unpack(f"<{n}I", data)) if k]
+    nonzero = re.compile(rb"[^\x00]")  # compiled once, then read from re's cache
+    out = []
+    hit = nonzero.search(data)
+    while hit:
+        s = hit.start() >> 2
+        out.append((s, int.from_bytes(data[4 * s:4 * s + 4], "little")))
+        hit = nonzero.search(data, 4 * s + 4)
+    return out
+
+
+def degree(m: int) -> int:
+    """Total exponent: m mod 2**W - 1, casting out the fields, which is the
+    sum of the fields while that sum is below 2**W - 1, as it is when there
+    are fewer than 2**16 fields, each below 2**16; else field by field."""
+    nbits = m.bit_length()
+    if m & _cover(nbits)[1] or nbits > W * 0xFFFF:
+        return sum(k for _, k in fields(m))
+    return m % FIELD
+
+
+def grlex(m: tuple) -> list:
+    """Sort key of the one rendering order, on an unpacked monomial, a tuple
+    of (variable, exponent) pairs sorted by variable: ascending keys are
+    descending graded-lex order.  The total degree is negated and each
+    (v, k) becomes (v, -k); a monomial whose pairs begin another's has a
+    lower degree, so no end marker is needed.  Variables compare as they
+    are: beta indices as ints, characters as residue tuples, in
+    AbelianGroup.unrank's order."""
     key = [0]
     total = 0
     for v, k in m:
@@ -80,14 +123,33 @@ def grlex(m: Mono) -> list:
 
 
 def sorted_terms(terms: dict) -> list:
-    """(monomial, coefficient) pairs in descending graded-lex order."""
+    """(monomial, coefficient) pairs of a dict on unpacked monomials, in
+    descending graded-lex order."""
     return [(m, terms[m]) for m in sorted(terms, key=grlex)]
+
+
+def check_int(c: int):
+    """Raise when the int c has more than MAX_INT_DIGITS digits, before it
+    is printed: CPython refuses to convert it to text."""
+    if c.bit_length() >= MAX_INT_BITS - 1 and abs(c) >= 10**MAX_INT_DIGITS:
+        raise PreconditionError(f"an integer in the result has over {MAX_INT_DIGITS} digits")
+
+
+def check_power(terms: dict, n: int):
+    """Raise, before the power is taken, when the n-th power of a nonzero
+    term dict would have a coefficient of over MAX_INT_DIGITS digits: its
+    leading coefficient c, raised to the n-th power, is one, and |c|**n
+    has at least (bits of c - 1) * n bits."""
+    c = terms[max(terms)]
+    if (abs(c).bit_length() - 1) * n >= MAX_INT_BITS:
+        raise PreconditionError(
+            f"a coefficient of the power {n} would have over {MAX_INT_DIGITS} digits"
+        )
 
 
 def add_terms(t1: dict, t2: dict) -> dict:
     """Sum of two term dicts, zero-free when both are: a monomial whose
-    coefficients cancel is dropped.  A coefficient may be shared with an
-    operand."""
+    coefficients cancel is dropped."""
     acc = dict(t1)
     for m, c in t2.items():
         prev = acc.get(m)
@@ -103,11 +165,12 @@ def add_terms(t1: dict, t2: dict) -> dict:
 def mul_terms(t1: dict, t2: dict) -> dict:
     """Product of two term dicts, zero-free when both are: a monomial is
     dropped the moment its accumulated coefficient cancels, and comes back
-    if a later product lands on it."""
+    if a later product lands on it.  Raises when an exponent of the result
+    is over MAX_EXP; a product past the limit that cancels leaves none."""
     acc: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             prev = acc.get(m)
             if prev is None:
                 acc[m] = c1 * c2
@@ -115,6 +178,10 @@ def mul_terms(t1: dict, t2: dict) -> dict:
                 acc[m] = c
             else:
                 del acc[m]
+    bits = 0
+    for m in acc:
+        bits |= m
+    check(bits)
     return acc
 
 
@@ -138,25 +205,28 @@ def divexact_terms(num: dict, den: dict, coeff_div, zero) -> dict | None:
     """Exact quotient of nonzero term dicts num / den, or None when it does
     not exist.
 
-    Leading-term division in graded-lex order; sound for exact quotients
-    over an integral domain.  coeff_div(a, b) is the exact quotient of
-    coefficients or None, and zero is the coefficients' zero.
+    Leading-term division in the lex order of the packed ints; sound for
+    exact quotients over an integral domain.  coeff_div(a, b) is the exact
+    quotient of coefficients or None, and zero is the coefficients' zero.
+    Every monomial of the remainder is at most max(num), so one guard mask
+    covers each subtraction.
     """
-    lt_m = min(den, key=grlex)
+    lt_m = max(den)
     lt_c = den[lt_m]
     rem = dict(num)
+    g = guard(max(max(num), lt_m).bit_length())
     quot: dict = {}
     while rem:
-        m = min(rem, key=grlex)
-        qm = mono_div(m, lt_m)
-        if qm is None:
+        m = max(rem)
+        qm = m - lt_m
+        if qm & g:
             return None
         qc = coeff_div(rem[m], lt_c)
         if qc is None:
             return None
         quot[qm] = qc
         for m2, c2 in den.items():
-            mm = mono_mul(qm, m2)
+            mm = qm + m2
             nc = rem.get(mm, zero) - qc * c2
             if nc:
                 rem[mm] = nc

@@ -21,21 +21,20 @@ from __future__ import annotations
 
 from functools import wraps
 
-from .coeff import CoeffPoly, specializer
+from .coeff import CoeffPoly, specialized_terms, specializer, translate
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, coaug
 from .groups import Character, format_residues
 from .render import flat_terms, format_power, join_signed, signed_product, specialized
 from .sparse import (
-    RingOps, add_terms, divexact_terms, mono_degree, mono_mul, mul_terms, power, sorted_terms,
+    FIELD, MAX_EXP, W, RingOps, add_terms, check_power, degree, divexact_terms, fields, mul_terms,
+    power, sorted_terms,
 )
 
 SHIFTS = (-2, 0, 2)
 MODES = ("MUP", "mUP")
 FAMILIES = {-2: "b", 2: "c"}  # shift -> its ring's degree-zero generators b_i or c_i
 _FAMILY_SHIFT = {family: shift for shift, family in FAMILIES.items()}
-
-BetaMono = tuple  # a sparse-kernel monomial in beta (or generator) indices
 
 
 def _term_parts(num: "SymPoly", name: str) -> list:
@@ -62,15 +61,22 @@ def _terms_json(num: "SymPoly", name: str) -> list:
 
 
 class SymPoly(RingOps):
-    """Element of the shifted symmetric algebra over one flag."""
+    """Element of the shifted symmetric algebra over one flag.
 
-    __slots__ = ("flag", "shift", "terms")
+    SymPoly(flag, shift, terms) takes terms as {((i, exponent), ...):
+    coefficient}, an int or a CoeffPoly, and packs them flat: the packed
+    terms, kept in `packed`, are {beta part + (Euler part << flag._eoff):
+    int}, beta_i in slot i and the Euler symbols in their group's slots."""
+
+    __slots__ = ("flag", "shift", "packed")
 
     def __init__(self, flag: Flag, shift: int, terms: dict | None = None):
         if shift not in SHIFTS:
             raise PreconditionError(f"shift must be one of {SHIFTS}, got {shift}")
-        clean: dict[BetaMono, CoeffPoly] = {}
+        group, off = flag.group, flag._eoff
+        packed: dict = {}
         for m, c in (terms or {}).items():
+            b = 0
             for i, k in m:
                 if not 0 <= i <= flag.length:
                     raise PreconditionError(
@@ -78,24 +84,28 @@ class SymPoly(RingOps):
                     )
                 if k < 1:
                     raise PreconditionError(f"nonpositive exponent on beta[{i}]")
+                if k > MAX_EXP:
+                    raise PreconditionError(f"exponent {k} on beta[{i}] is over the limit of {MAX_EXP}")
+                b += k << (W * i)
             if not isinstance(c, CoeffPoly):
-                c = CoeffPoly.const(flag.group, c)
-            elif c.group != flag.group:
+                c = CoeffPoly.const(group, c)
+            elif c.group != group:
                 raise MismatchError("coefficient over a different group")
-            if not c.is_zero:
-                clean[m] = c
+            for e, ci in c._over(group).packed.items():
+                key = b | (e << off)
+                packed[key] = packed.get(key, 0) + ci
         self.flag = flag
         self.shift = shift
-        self.terms = clean
+        self.packed = {m: c for m, c in packed.items() if c}
 
     @classmethod
-    def _of(cls, flag: Flag, shift: int, terms: dict) -> "SymPoly":
-        """Wrap {monomial: nonzero CoeffPoly} terms known to be valid for
+    def _of(cls, flag: Flag, shift: int, packed: dict) -> "SymPoly":
+        """Wrap {packed monomial: nonzero int} terms known to be valid for
         flag and shift, such as a zero-free kernel result; nothing is
         checked or filtered.  The dict becomes the value's own and is never
-        changed in place, so coefficients may be shared with other values."""
+        changed in place."""
         x = object.__new__(cls)
-        x.flag, x.shift, x.terms = flag, shift, terms
+        x.flag, x.shift, x.packed = flag, shift, packed
         return x
 
     @classmethod
@@ -112,11 +122,31 @@ class SymPoly(RingOps):
 
     @classmethod
     def var(cls, flag: Flag, shift: int, i: int) -> "SymPoly":
-        return cls(flag, shift, {((i, 1),): CoeffPoly.one(flag.group)})
+        return cls(flag, shift, {((i, 1),): 1})
+
+    @property
+    def terms(self) -> dict:
+        """The terms as {((i, exponent), ...): CoeffPoly}, unpacked on each
+        access: for reading, not for arithmetic."""
+        group = self.flag.group
+        return {tuple(fields(b)): CoeffPoly._of(group, t) for b, t in _split(self).items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
+
+    def _over(self, flag: Flag) -> "SymPoly":
+        """This value over flag, which equals its own, with its Euler parts
+        in the slots of flag's group."""
+        src, dst = self.flag.group, flag.group
+        if src is dst:
+            return self if flag is self.flag else SymPoly._of(flag, self.shift, self.packed)
+        off = flag._eoff
+        packed = {}
+        for m, c in self.packed.items():
+            e = m >> off
+            packed[(m ^ (e << off)) | (translate(src, dst, e) << off)] = c
+        return SymPoly._of(flag, self.shift, packed)
 
     def _coerce(self, other) -> "SymPoly | None":
         if isinstance(other, SymPoly):
@@ -126,7 +156,7 @@ class SymPoly(RingOps):
                 raise MismatchError("operands over different flags")
             if other.shift != self.shift:
                 raise MismatchError("operands over different shifts")
-            return other
+            return other._over(self.flag)
         if isinstance(other, (int, CoeffPoly)):
             return SymPoly.const(self.flag, self.shift, other)
         return None
@@ -135,73 +165,89 @@ class SymPoly(RingOps):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = add_terms(self.terms, rhs.terms)
-        return SymPoly._of(self.flag, self.shift, acc)
+        return SymPoly._of(self.flag, self.shift, add_terms(self.packed, rhs.packed))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly._of(self.flag, self.shift, {m: -c for m, c in self.terms.items()})
+        return SymPoly._of(self.flag, self.shift, {m: -c for m, c in self.packed.items()})
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = mul_terms(self.terms, rhs.terms)
-        return SymPoly._of(self.flag, self.shift, acc)
+        return SymPoly._of(self.flag, self.shift, mul_terms(self.packed, rhs.packed))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
-        return power(self, n) if n else SymPoly.one(self.flag, self.shift)
+        if not n:
+            return SymPoly.one(self.flag, self.shift)
+        if self.packed:
+            check_power(self.packed, n)
+        return power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, (int, CoeffPoly)):
             other = SymPoly.const(self.flag, self.shift, other)
         return (
             isinstance(other, SymPoly)
-            and self.flag == other.flag
+            and (self.flag is other.flag or self.flag == other.flag)
             and self.shift == other.shift
-            and self.terms == other.terms
+            and self.packed == other._over(self.flag).packed
         )
 
     __hash__ = None
 
     def dimension_degree(self) -> int | None:
         """Total beta-exponent; None for zero, error when mixed."""
-        if not self.terms:
+        if not self.packed:
             return None
-        dims = {mono_degree(m) for m in self.terms}
+        mask = (1 << self.flag._eoff) - 1
+        parts = {m & mask for m in self.packed}
+        if len(parts) == 1:
+            return degree(parts.pop())
+        dims = {degree(b) for b in parts}
         if len(dims) > 1:
             raise PreconditionError("mixed dimension degrees")
         return dims.pop()
 
     def internal_degree(self) -> int | None:
         """Homological degree with beta_i in degree 2i - d; None for zero."""
-        if not self.terms:
+        if not self.packed:
             return None
+        off = self.flag._eoff
         degs = set()
-        for m, c in self.terms.items():
-            base = sum(k * (2 * i - self.shift) for i, k in m)
-            for cm in c.terms:
-                degs.add(base - 2 * mono_degree(cm))
+        for m in self.packed:
+            e = m >> off
+            base = sum(k * (2 * i - self.shift) for i, k in fields(m ^ (e << off)))
+            degs.add(base - 2 * degree(e))
         if len(degs) > 1:
             raise PreconditionError("mixed internal degrees")
         return degs.pop()
 
     def divexact(self, other: "SymPoly") -> "SymPoly | None":
-        """Exact quotient self / other, or None when it does not exist."""
+        """Exact quotient self / other, or None when it does not exist.
+
+        The division runs over the coefficient ring: on the beta parts of
+        the monomials, each with its CoeffPoly coefficient."""
         rhs = self._coerce(other)
         if rhs is None or rhs.is_zero:
             raise PreconditionError("division by zero polynomial")
         if self.is_zero:
             return self
-        quot = divexact_terms(
-            self.terms, rhs.terms, CoeffPoly.divexact, CoeffPoly.zero(self.flag.group)
+        group = self.flag.group
+        num, den = (
+            {b: CoeffPoly._of(group, t) for b, t in _split(x).items()} for x in (self, rhs)
         )
-        return None if quot is None else SymPoly._of(self.flag, self.shift, quot)
+        quot = divexact_terms(num, den, CoeffPoly.divexact, CoeffPoly.zero(group))
+        if quot is None:
+            return None
+        off = self.flag._eoff
+        packed = {b | (e << off): c for b, q in quot.items() for e, c in q.packed.items()}
+        return SymPoly._of(self.flag, self.shift, packed)
 
     def specialize(self, assignment: dict) -> "SymPoly":
         """Apply a coefficient-ring map to every term's coefficient; the
@@ -218,11 +264,26 @@ class SymPoly(RingOps):
         return f"SymPoly({self.flag}, d={self.shift}, {self})"
 
 
-def _specialized(x: SymPoly, spec) -> SymPoly:
-    """x with spec, a coeff.specializer of its group, applied to every
-    coefficient; the terms that spec sends to zero are dropped."""
-    terms = {m: s for m, c in x.terms.items() if (s := spec(c)).terms}
-    return SymPoly._of(x.flag, x.shift, terms)
+def _split(x: SymPoly) -> dict:
+    """x's terms as {packed beta part: {packed Euler monomial: int}}."""
+    off = x.flag._eoff
+    split: dict = {}
+    for m, c in x.packed.items():
+        e = m >> off
+        split.setdefault(m ^ (e << off), {})[e] = c
+    return split
+
+
+def _specialized(x: SymPoly, image) -> SymPoly:
+    """x with image, a coeff.specializer of its group, applied to the Euler
+    part of every term; the terms that cancel are dropped."""
+    off = x.flag._eoff
+    packed = {
+        b | (e << off): c
+        for b, t in _split(x).items()
+        for e, c in specialized_terms(t, image).items()
+    }
+    return SymPoly._of(x.flag, x.shift, packed)
 
 
 def _kept_on_flag(build):
@@ -243,7 +304,16 @@ def _kept_on_flag(build):
 def theta_sym(flag: Flag, shift: int, alpha: Character) -> SymPoly:
     """The coaugmentation class of alpha embedded as a dimension-degree-1
     element: the basis vector beta_i becomes the variable beta_i."""
-    return SymPoly(flag, shift, {((i, 1),): c for i, c in coaug(flag, alpha).coeffs.items()})
+    return SymPoly._of(flag, shift, _embedded(flag, coaug(flag, alpha), lambda i: 1 << (W * i)))
+
+
+def _embedded(flag: Flag, cls, unit) -> dict:
+    """The packed terms of sum c_i * unit(i) over the coefficients c_i of
+    the ProjClass cls, over flag's group, unit(i) a packed beta part."""
+    off = flag._eoff
+    return {
+        unit(i) | (e << off): c for i, ci in cls.coeffs.items() for e, c in ci.packed.items()
+    }
 
 
 def theta_mul(flag: Flag, alpha: Character, x):
@@ -252,7 +322,7 @@ def theta_mul(flag: Flag, alpha: Character, x):
     Raises the dimension degree by 1 and the internal degree by -d.
     Accepts a SymPoly or a LocFraction.
     """
-    if not isinstance(x, (SymPoly, LocFraction)) or x.flag != flag:
+    if not isinstance(x, (SymPoly, LocFraction)) or (x.flag is not flag and x.flag != flag):
         raise MismatchError("operand does not live over the given flag")
     return theta_sym(flag, x.shift, alpha) * x
 
@@ -273,12 +343,8 @@ def retract(x: SymPoly, n: int | None = None, alpha: Character | None = None) ->
     dim = x.dimension_degree()  # raises when mixed
     if n is not None and dim is not None and dim != n + 1:
         raise PreconditionError(f"expected dimension degree {n + 1}, got {dim}")
-    acc = {}
-    for m, c in x.terms.items():
-        # beta_0 sorts first, so it is dropped by slicing
-        if m and m[0][0] == 0:
-            k = m[0][1]
-            acc[m[1:] if k == 1 else ((0, k - 1),) + m[1:]] = c
+    # beta_0 is slot 0, the lowest field
+    acc = {m - 1: c for m, c in x.packed.items() if m & FIELD}
     return SymPoly._of(x.flag, x.shift, acc)
 
 
@@ -452,7 +518,7 @@ class LocFraction(_Quotient):
         return True
 
     def _ctx(self, other: "LocFraction"):
-        if self.num.flag != other.num.flag:
+        if self.num.flag is not other.num.flag and self.num.flag != other.num.flag:
             raise MismatchError("fractions over different flags")
         if self.num.shift != other.num.shift:
             raise MismatchError("fractions over different shifts")
@@ -581,6 +647,8 @@ class BExpr(_Quotient):
 
     @property
     def terms(self) -> dict:
+        """The numerator's terms as {((i, exponent), ...): CoeffPoly}, the
+        generator b_i or c_i written i, unpacked on each access."""
         return self.num.terms
 
     @property
@@ -672,8 +740,8 @@ def btheta_expansion(flag: Flag, family: str, alpha: Character) -> BExpr:
     For the trivial character this is the unit: it occurs first, so its
     coaugmentation class is beta_0 alone.
     """
-    terms = {((i, 1),) if i else (): c for i, c in coaug(flag, alpha).coeffs.items()}
-    return BExpr(flag, family, terms, {})
+    terms = _embedded(flag, coaug(flag, alpha), lambda i: 1 << (W * i) if i else 0)
+    return BExpr._of(SymPoly._of(flag, _FAMILY_SHIFT[family], terms), {})
 
 
 def _to_generators(a: LocFraction) -> BExpr:
@@ -691,10 +759,10 @@ def _to_generators(a: LocFraction) -> BExpr:
             f"only dimension-degree-0 fractions rewrite to generators, got {d}"
         )
     terms: dict = {}
-    for m, c in num.terms.items():
-        key = m[1:] if m and not m[0][0] else m  # beta_0, if present, comes first
+    for m, c in num.packed.items():
+        key = m >> W << W  # beta_0 is slot 0, the lowest field
         if key in terms:
-            raise RuntimeError(f"two numerator monomials of one dimension rewrite to {key!r}")
+            raise RuntimeError(f"two numerator monomials of one dimension rewrite to {key:#x}")
         terms[key] = c
     denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
     return BExpr._of(SymPoly._of(num.flag, num.shift, terms), denom)
@@ -730,11 +798,15 @@ def expand_b(e: BExpr, mode: str = "MUP") -> LocFraction:
     if e.is_zero:
         return LocFraction(SymPoly.zero(flag, shift), {}, mode)
     F = sum(e.denom.values())
-    K = max(F, max(mono_degree(m) for m in e.terms))
+    mask = (1 << flag._eoff) - 1
+    degrees = {m: degree(m & mask) for m in e.num.packed}
+    K = max(F, max(degrees.values()))
     terms: dict = {}
-    for m, c in e.terms.items():
-        pad = K - mono_degree(m)
-        terms[mono_mul(((0, pad),), m) if pad else m] = c
+    for m, c in e.num.packed.items():
+        pad = K - degrees[m]  # onto beta_0, slot 0, which a generator never uses
+        if pad > MAX_EXP:
+            raise PreconditionError(f"an exponent of beta[0] is over the limit of {MAX_EXP}")
+        terms[m + pad] = c
     denom: dict = dict(e.denom)
     if K - F:
         denom[flag.group.identity] = K - F

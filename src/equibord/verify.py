@@ -22,8 +22,8 @@ from . import symalg
 from .coeff import CoeffPoly, euler_class, specializer
 from .errors import PreconditionError, SpecParseError
 from .flags import MAX_FLAG_LENGTH, Flag, ProjClass, aug, coaug, coaug_via_duality
-from .groups import parse_group, spec_lines
-from .sparse import mono
+from .groups import euler_unit, parse_group, spec_lines
+from .sparse import W
 from .symalg import (
     BExpr,
     LocFraction,
@@ -340,23 +340,27 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _random_coeff(rng: random.Random, group) -> CoeffPoly:
-    """A unit, a signed Euler symbol, a product of two Euler symbols or a
-    small constant, built from its one term."""
+def _random_term(rng: random.Random, group) -> tuple:
+    """(packed Euler monomial, int) of a unit, a signed Euler symbol, a
+    product of two Euler symbols or a small constant."""
     bits = rng.getrandbits
     chars = group._characters or group.characters()  # by rank: the trivial one is first
     n = len(chars) - 1
     kind = _below(bits, 4) if n else 0
     if kind == 1:
         sign = (1, -1)[_below(bits, 2)]  # drawn before the character
-        term = {((chars[1 + _below(bits, n)].residues, 1),): sign}
-    elif kind == 2:
-        a, b = sorted((chars[1 + _below(bits, n)].residues, chars[1 + _below(bits, n)].residues))
-        term = {((a, 2),) if a == b else ((a, 1), (b, 1)): 1}
-    else:
-        units = (1, -1) if kind == 0 else (2, -2, 3)
-        term = {(): units[_below(bits, len(units))]}
-    return CoeffPoly._of(group, term)
+        return euler_unit(group, chars[1 + _below(bits, n)].residues), sign
+    if kind == 2:
+        a = euler_unit(group, chars[1 + _below(bits, n)].residues)
+        return a + euler_unit(group, chars[1 + _below(bits, n)].residues), 1
+    units = (1, -1) if kind == 0 else (2, -2, 3)
+    return 0, units[_below(bits, len(units))]
+
+
+def _random_coeff(rng: random.Random, group) -> CoeffPoly:
+    """The one-term CoeffPoly of _random_term."""
+    e, c = _random_term(rng, group)
+    return CoeffPoly._of(group, {e: c})
 
 
 def _counts(items) -> dict:
@@ -371,19 +375,22 @@ def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> S
     """Random nonzero dimension-homogeneous polynomial of the given dimension."""
     bits = rng.getrandbits
     width = flag.length + 1  # beta indices in 0..N
+    k = width.bit_length()
+    group, off = flag.group, flag._eoff
     while True:
         terms: dict = {}
         for _ in range(1 + _below(bits, 3)):
-            counts: dict = {}
+            b = 0
             for _ in range(dim):
-                i = _below(bits, width)
-                counts[i] = counts.get(i, 0) + 1
-            m = mono(counts)
-            c = _random_coeff(rng, flag.group)
-            terms[m] = terms[m] + c if m in terms else c
-        # positive exponents, coefficients over the group; drawn terms on
-        # one monomial can cancel
-        terms = {m: c for m, c in terms.items() if c.terms}
+                i = bits(k)  # _below(bits, width), inlined
+                while i >= width:
+                    i = bits(k)
+                b += 1 << (W * i)
+            e, c = _random_term(rng, group)
+            m = b | (e << off)
+            terms[m] = terms.get(m, 0) + c
+        # drawn terms on one monomial can cancel
+        terms = {m: c for m, c in terms.items() if c}
         if terms:
             return SymPoly._of(flag, shift, terms)
 
@@ -427,10 +434,9 @@ def check_rewrite_roundtrip(cfg: SweepConfig):
 def _basis_monomials(flag: Flag, shift: int, low: int, n: int) -> list:
     """Every monomial of dimension n in beta_low..beta_N, with coefficient 1,
     in the order of itertools.combinations_with_replacement."""
-    one = CoeffPoly._of(flag.group, {(): 1})
-    # a combination is sorted, so its runs, in order, are its monomial
+    units = [1 << (W * i) for i in range(flag.length + 1)]  # beta_i alone, packed
     return [
-        SymPoly._of(flag, shift, {tuple(_counts(combo).items()): one})
+        SymPoly._of(flag, shift, {sum(map(units.__getitem__, combo)): 1})
         for combo in itertools.combinations_with_replacement(range(low, flag.length + 1), n)
     ]
 
@@ -507,7 +513,7 @@ def check_specialization_collapse(cfg: SweepConfig):
         for _ in range(cfg.random_cases):
             x = _random_dim0_fraction(rng, flag, -2, "MUP", cfg.max_dimension)
             e = to_b_generators(x)
-            bare = BExpr(e.flag, e.family, e.terms, {})
+            bare = BExpr._of(e.num, {})
             ya = expand_b(e, "MUP")
             yb = expand_b(bare, "MUP")
             lhs, rhs = _specialized_lift(ya, yb, spec, thetas)

@@ -26,7 +26,7 @@ from equibord import cli
 from equibord.errors import PreconditionError, SpecParseError
 from equibord.flags import Flag
 from equibord.groups import MAX_INT_DIGITS, AbelianGroup, parse_group
-from equibord.sparse import grlex, mono, sorted_terms
+from equibord.sparse import grlex, sorted_terms
 from equibord.symalg import presentation
 from equibord.verify import DEFAULT_GROUPS, MAX_COLLAPSE_PAIRS, SweepConfig
 
@@ -48,6 +48,11 @@ def dense_grlex_key(slots):
         return (total, tuple(vec))
 
     return key
+
+
+def mono(counts) -> tuple:
+    """The unpacked monomial of {variable: positive exponent} counts."""
+    return tuple(sorted(counts.items()))
 
 
 def shapes(limit: int) -> list:

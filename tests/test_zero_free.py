@@ -3,19 +3,21 @@ Euler monomials, each checked against a plain reference written here.
 
 add_terms and mul_terms drop a monomial whose coefficient cancels, so the
 classes wrap their results without filtering them again; the references
-are the kernel that kept zeros, filtered afterwards.  coaug reads its
+are the kernel that kept zeros, filtered afterwards, on packed monomials
+and on the unpacked monomials that the classes' terms show.  coaug reads its
 coefficients from a per-group table of Euler monomials; the reference
 counts the twists of each stage afresh."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from equibord import verify
-from equibord.coeff import CoeffPoly, specializer
+from equibord.coeff import CoeffPoly, euler_unit, specializer
 from equibord.flags import Flag, ProjClass, coaug
 from equibord.groups import parse_group
-from equibord.sparse import add_terms, mono, mono_mul, mul_terms
+from equibord.sparse import W, add_terms, mul_terms
 from equibord.symalg import SymPoly, _specialized
 from equibord.verify import SweepConfig, _complete_flags, _duality_sweep, check_coaug_duality
 
@@ -28,12 +30,25 @@ def _kept_add(t1: dict, t2: dict) -> dict:
     return {m: c for m, c in acc.items() if c}
 
 
+def mono(counts) -> tuple:
+    """The unpacked monomial of {variable: positive exponent} counts."""
+    return tuple(sorted(counts.items()))
+
+
+def _mono_mul(m1, m2):
+    """The product of two packed monomials, or of two unpacked ones by
+    counting every variable."""
+    if isinstance(m1, int):
+        return m1 + m2
+    return mono(Counter(dict(m1)) + Counter(dict(m2)))
+
+
 def _kept_mul(t1: dict, t2: dict) -> dict:
     """The product with zeros kept, then filtered."""
     acc: dict = {}
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
+            m = _mono_mul(m1, m2)
             acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
     return {m: c for m, c in acc.items() if c}
 
@@ -42,15 +57,16 @@ def _zero_free(terms: dict) -> bool:
     return all(c.terms if isinstance(c, CoeffPoly) else c for c in terms.values())
 
 
-X, Y = ((0, 1),), ((1, 1),)
-X2, XY, Y2 = ((0, 2),), ((0, 1), (1, 1)), ((1, 2),)
+# packed monomials: x in slot 0, y in slot 1
+ONE, X, Y = 0, 1, 1 << W
+X2, XY, Y2 = 2 * X, X + Y, 2 * Y
 
 INT_CASES = [
     # (t1, t2, the sum, the product)
     ({X: 1, Y: 2}, {X: -1, Y: -2}, {}, {X2: -1, XY: -4, Y2: -4}),  # the sum cancels whole
     ({X: 1, Y: 1}, {X: 1, Y: -1}, {X: 2}, {X2: 1, Y2: -1}),  # x*y cancels in the product
-    ({(): 1, X: 1, X2: 1}, {(): 1, X: -1, X2: 1}, {(): 2, X2: 2}, None),  # x^2: +1, -1, +1
-    ({(): 3}, {(): -3}, {}, {(): -9}),
+    ({ONE: 1, X: 1, X2: 1}, {ONE: 1, X: -1, X2: 1}, {ONE: 2, X2: 2}, None),  # x^2: +1, -1, +1
+    ({ONE: 3}, {ONE: -3}, {}, {ONE: -9}),
 ]
 
 
@@ -66,19 +82,17 @@ def test_int_kernel_results_are_zero_free(t1, t2, total, product):
 
 def test_a_cancelled_monomial_comes_back_when_a_later_product_lands_on_it():
     # (1 + x + x^2)(1 - x + x^2): x^2 gets +1, then -1, then +1
-    got = mul_terms({(): 1, X: 1, X2: 1}, {(): 1, X: -1, X2: 1})
-    assert got == {(): 1, X2: 1, ((0, 4),): 1}
+    got = mul_terms({ONE: 1, X: 1, X2: 1}, {ONE: 1, X: -1, X2: 1})
+    assert got == {ONE: 1, X2: 1, 4 * X: 1}
 
 
 def _random_ints(rng: random.Random, variables: int, terms: int) -> dict:
     out = {}
     for _ in range(terms):
-        counts = {}
+        m = 0
         for v in range(variables):
-            k = rng.randrange(3)
-            if k:
-                counts[v] = k
-        out[mono(counts)] = rng.choice((1, -1, 2, -2))
+            m += rng.randrange(3) << (W * v)
+        out[m] = rng.choice((1, -1, 2, -2))
     return out
 
 
@@ -104,6 +118,7 @@ def test_coefficient_poly_results_are_zero_free():
     for x, y in ((a + b, a - b), (a * b + 2, a * b - 2), (a - 1, a + 1), (a, -a)):
         for got, want in ((x + y, _kept_add(x.terms, y.terms)), (x * y, _kept_mul(x.terms, y.terms))):
             assert got.terms == want and _zero_free(got.terms)
+        assert (x * y).packed == _kept_mul(x.packed, y.packed)
     assert (a + b) * (a - b) == a * a - b * b and (a * a - b * b).terms == {
         (((1,), 2),): 1, (((2,), 2),): -1
     }
@@ -232,7 +247,7 @@ def test_the_table_has_one_node_per_monomial_reached(spec):
     reached = _check_against_reference(group)
     nodes = group._euler_nodes
     # the nodes reachable from the unit node, each counted once
-    seen, todo = {}, [nodes[()]]
+    seen, todo = {}, [nodes[0]]
     while todo:
         node = todo.pop()
         if id(node) not in seen:
@@ -240,9 +255,9 @@ def test_the_table_has_one_node_per_monomial_reached(spec):
             todo.extend(node[1].values())
     assert len(seen) == len(nodes) <= len(reached)
     for m, (coeff, nexts) in nodes.items():
-        assert coeff.terms == {m: 1} and coeff.group is group
+        assert coeff.packed == {m: 1} and coeff.group is group
         for rs, (after, _) in nexts.items():
-            assert after.terms == {mono_mul(m, ((rs, 1),)): 1}
+            assert after.packed == {m + euler_unit(group, rs): 1}
 
 
 def test_twists_in_another_order_share_one_node():
@@ -279,7 +294,7 @@ def test_a_wrong_node_in_the_table_is_caught_by_the_duality_check(monkeypatch):
     for alpha in poisoned.characters():
         coaug(flag, alpha)
     # send one twist of the unit node to the node of another
-    root = poisoned._euler_nodes[()][1]
+    root = poisoned._euler_nodes[0][1]
     first, second = sorted(root)[:2]
     root[first] = root[second]
     monkeypatch.setattr(verify, "parse_group", lambda spec: poisoned)
