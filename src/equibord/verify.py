@@ -363,14 +363,6 @@ def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     return CoeffPoly._of(group, {e: c})
 
 
-def _counts(items) -> dict:
-    """{item: number of occurrences}, in order of first occurrence."""
-    counts: dict = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    return counts
-
-
 def _random_numerator(rng: random.Random, flag: Flag, shift: int, dim: int) -> SymPoly:
     """Random nonzero dimension-homogeneous polynomial of the given dimension."""
     bits = rng.getrandbits
@@ -399,7 +391,11 @@ def _random_denominator(rng: random.Random, flag: Flag, mode: str, total: int) -
     """{character: positive exponent} over characters that mode inverts."""
     bits = rng.getrandbits
     alphas = invertible_characters(flag, mode)
-    return _counts(alphas[_below(bits, len(alphas))] for _ in range(total))
+    counts: dict = {}  # in order of first draw
+    for _ in range(total):
+        al = alphas[_below(bits, len(alphas))]
+        counts[al] = counts.get(al, 0) + 1
+    return counts
 
 
 def _random_dim0_fraction(rng, flag, shift, mode, max_dim) -> LocFraction:
