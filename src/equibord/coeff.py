@@ -2,10 +2,10 @@
 
 An element is stored sparsely as {packed monomial: int} in the format of
 the sparse kernel, each Euler symbol in the slot that groups.euler_unit
-gives it in its group.  Every symbol e[gamma] sits in homological degree -2, so a
-monomial of exponent sum k has degree -2k.  There is no symbol for the
-trivial character: the Euler class of a representation with a trivial
-summand is zero outright.
+gives it, from one slot table for all equal groups.  Every symbol
+e[gamma] sits in homological degree -2, so a monomial of exponent sum k
+has degree -2k.  There is no symbol for the trivial character: the Euler
+class of a representation with a trivial summand is zero outright.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ def pack_euler(group: AbelianGroup, m) -> int:
             raise PreconditionError(f"Euler exponent {k} out of range 1..{MAX_EXP}")
         e += k * euler_unit(group, rs)
     return e
-
-
-def translate(src: AbelianGroup, dst: AbelianGroup, e: int) -> int:
-    """The packed Euler monomial e of src in the slots of dst, an equal
-    group held as another object."""
-    symbols = src._euler_symbols
-    return sum(k * euler_unit(dst, symbols[s]) for s, k in fields(e))
 
 
 def _int_divexact(a: int, b: int) -> int | None:
@@ -97,18 +90,11 @@ class CoeffPoly(RingOps):
     def is_zero(self) -> bool:
         return not self.packed
 
-    def _over(self, group: AbelianGroup) -> "CoeffPoly":
-        """This value with its terms in the slots of group, which equals its own."""
-        if group is self.group:
-            return self
-        src = self.group
-        return CoeffPoly._of(group, {translate(src, group, e): c for e, c in self.packed.items()})
-
     def _coerce(self, other) -> "CoeffPoly | None":
         if isinstance(other, CoeffPoly):
             if other.group is not self.group and other.group != self.group:
                 raise MismatchError("coefficient polynomials over different groups")
-            return other._over(self.group)
+            return other
         if isinstance(other, int):
             return CoeffPoly.const(self.group, other)
         return None
@@ -151,11 +137,8 @@ class CoeffPoly(RingOps):
 
     def __eq__(self, other):
         if other.__class__ is CoeffPoly:
-            if self.group is not other.group:
-                if self.group != other.group:
-                    return False
-                other = other._over(self.group)
-            return self.packed == other.packed
+            same = self.group is other.group or self.group == other.group
+            return same and self.packed == other.packed
         if isinstance(other, int):
             return self.packed == ({0: other} if other else {})
         return False

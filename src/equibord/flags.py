@@ -230,30 +230,28 @@ def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
 
     The value depends only on alpha and the stage as a multiset, so the
     stage, which every flag of the group with that multiset shares,
-    remembers it by alpha's residues.  When stage i - 1 remembers its
-    value, stage i's is that value times the Euler symbol of the one
-    summand added, alpha^{-1} times the flag's i-th character; otherwise
-    it is the Euler class of the stage twisted whole.  So a walk up the
-    stages in order costs one symbol per stage."""
+    remembers it by alpha's residues.  The walk starts from the highest
+    stage below i that remembers its value, stage 0 holding one, and goes
+    up one stage at a time: as Euler classes are multiplicative, each
+    value is the one before times the Euler class of the summand added
+    there, twisted by alpha^{-1}.  So a walk up the stages in order costs
+    one summand per stage."""
     if alpha.group is not flag.group and alpha.group != flag.group:
         raise MismatchError("character of a different group")
-    if i == 0:
-        return CoeffPoly.one(flag.group)
-    stage = flag.rep(i)
+    group = flag.group
     key = alpha.residues
-    value = stage._augs.get(key)
+    value = flag.rep(i)._augs.get(key) if i else CoeffPoly.one(group)
     if value is None:
-        prev = flag.rep(i - 1)._augs.get(key) if i > 1 else None
-        if prev is None:
-            value = euler_class(stage.tensor(alpha.inverse()))
-        else:
-            twist = alpha.inverse() * flag.chars[i - 1]
-            if not prev.packed or twist.is_trivial:
-                value = CoeffPoly._of(flag.group, {})
-            else:
-                (m,) = prev.packed  # an Euler class is one monomial or zero
-                value = CoeffPoly._of(flag.group, {m + euler_unit(flag.group, twist.residues): 1})
-        stage._augs[key] = value
+        j = i - 1
+        while j and (value := flag.rep(j)._augs.get(key)) is None:
+            j -= 1
+        if not j:
+            value = CoeffPoly.one(group)
+        inv = alpha.inverse()
+        for j in range(j + 1, i + 1):
+            added = Representation(group, (flag.chars[j - 1],))
+            value = value * euler_class(added.tensor(inv))
+            flag.rep(j)._augs[key] = value
     return value
 
 

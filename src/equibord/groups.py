@@ -22,6 +22,11 @@ def format_residues(residues) -> str:
     return "(" + ",".join(str(r) for r in residues) + ")"
 
 
+# the Euler slot tables (units by residues, residues by slot) of every group
+# built so far, by its cyclic orders, filled as symbols are first used
+_euler_slots: dict[tuple, tuple[dict, list]] = {}
+
+
 class AbelianGroup:
     """Product of cyclic groups Z/n1 x ... x Z/nk; the empty product is trivial.
 
@@ -40,7 +45,8 @@ class AbelianGroup:
     # _euler_units maps the residues of a nontrivial character to the packed
     # monomial of its Euler symbol, 1 << W*slot, and _euler_symbols lists
     # the residues by slot: euler_unit gives a symbol the next slot the
-    # first time it is used.
+    # first time it is used.  Equal groups share the two (_euler_slots), so
+    # values over two parses of one group have the same packed terms.
     # _stages maps the key of a multiset of characters (Representation._key)
     # to the group's one Representation of it: the flag stage that Flag.rep
     # reaches and whose twisted Euler classes aug remembers.  It fills as
@@ -57,8 +63,10 @@ class AbelianGroup:
         self._characters: tuple | None = None
         self._residue_sums: dict[tuple, dict] = {}
         self._euler_nodes: dict[int, tuple] = {}
-        self._euler_units: dict[tuple, int] = {}
-        self._euler_symbols: list[tuple] = []
+        slots = _euler_slots.get(orders)
+        if slots is None:
+            slots = _euler_slots[orders] = ({}, [])
+        self._euler_units, self._euler_symbols = slots
         self._stages: dict[tuple, Representation] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 
@@ -201,7 +209,8 @@ _by_residues = attrgetter("residues")
 def euler_unit(group: AbelianGroup, residues: tuple) -> int:
     """The packed monomial of the Euler symbol of the nontrivial character
     of group with these residues: 1 in the symbol's slot, which is the
-    group's next free one when the symbol is first used."""
+    next free one of the table that equal groups share when the symbol is
+    first used."""
     u = group._euler_units.get(residues)
     if u is None:
         symbols = group._euler_symbols

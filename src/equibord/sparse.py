@@ -7,12 +7,15 @@ in bits W*s .. W*s + W - 1.  The product of two monomials is the sum of
 their ints, and the unit monomial is 0.
 
 Slots.  In the coefficient ring (coeff.CoeffPoly) the variables are the
-Euler symbols of one group.  Each symbol takes the group's next free slot
-the first time it is used (coeff.euler_unit), never a slot by its rank, so
-a huge group with a short flag keeps small monomials.  In the symmetric
-algebra (symalg.SymPoly) beta_i takes slot i, and the Euler symbols sit
-above the flag's N + 1 beta slots: a term's monomial is its beta part plus
-its Euler monomial shifted left by W*(N + 1), with an int coefficient.
+Euler symbols of one group.  Each symbol takes the next free slot the
+first time it is used (groups.euler_unit), never a slot by its rank, so
+a huge group with a short flag keeps small monomials.  Equal groups share
+one slot table, so values over two parses of a group pack alike.  In the
+symmetric algebra (symalg.SymPoly) beta_i takes slot i, and the Euler
+symbols sit above the flag's N + 1 beta slots: a term's monomial is its
+beta part plus its Euler monomial shifted left by W*(N + 1), with an int
+coefficient.  So a monomial is as wide as its highest slot, and a term
+with an Euler symbol over a long flag is a wide int.
 
 Width and guard bits.  The top bit of every field is a guard bit, so an
 exponent is at most MAX_EXP = 2**(W-1) - 1.  The sum of two monomials
@@ -36,7 +39,6 @@ No term dict is ever changed in place once wrapped.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from struct import unpack
 
@@ -76,23 +78,11 @@ def check(bits: int):
 
 
 def fields(m: int) -> list:
-    """(slot, exponent) pairs of the nonzero fields of m, by slot.  A wide
-    monomial with few nonzero fields, such as beta_N over a long flag, is
-    searched for its nonzero bytes rather than read field by field."""
+    """(slot, exponent) pairs of the nonzero fields of m, by slot."""
     if m <= FIELD:
         return [(0, m)] if m else []
     n = (m.bit_length() + W - 1) // W
-    data = m.to_bytes(4 * n, "little")
-    if n <= 16 or 4 * n - data.count(0) > n // 4:
-        return [(s, k) for s, k in enumerate(unpack(f"<{n}I", data)) if k]
-    nonzero = re.compile(rb"[^\x00]")  # compiled once, then read from re's cache
-    out = []
-    hit = nonzero.search(data)
-    while hit:
-        s = hit.start() >> 2
-        out.append((s, int.from_bytes(data[4 * s:4 * s + 4], "little")))
-        hit = nonzero.search(data, 4 * s + 4)
-    return out
+    return [(s, k) for s, k in enumerate(unpack(f"<{n}I", m.to_bytes(4 * n, "little"))) if k]
 
 
 def degree(m: int) -> int:
@@ -137,11 +127,11 @@ def check_int(c: int):
 
 def check_power(terms: dict, n: int):
     """Raise, before the power is taken, when the n-th power of a nonzero
-    term dict would have a coefficient of over MAX_INT_DIGITS digits: its
-    leading coefficient c, raised to the n-th power, is one, and |c|**n
-    has at least (bits of c - 1) * n bits."""
-    c = terms[max(terms)]
-    if (abs(c).bit_length() - 1) * n >= MAX_INT_BITS:
+    term dict would have a coefficient of over MAX_INT_DIGITS digits: the
+    n-th powers of its lex-first and lex-last coefficients are two of the
+    power's, and |c|**n has at least (bits of c - 1) * n bits."""
+    c = max(abs(terms[max(terms)]), abs(terms[min(terms)]))
+    if (c.bit_length() - 1) * n >= MAX_INT_BITS:
         raise PreconditionError(
             f"a coefficient of the power {n} would have over {MAX_INT_DIGITS} digits"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import wraps
 
-from .coeff import CoeffPoly, specialized_terms, specializer, translate
+from .coeff import CoeffPoly, specialized_terms, specializer
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, coaug
 from .groups import Character, format_residues
@@ -91,7 +91,7 @@ class SymPoly(RingOps):
                 c = CoeffPoly.const(group, c)
             elif c.group != group:
                 raise MismatchError("coefficient over a different group")
-            for e, ci in c._over(group).packed.items():
+            for e, ci in c.packed.items():
                 key = b | (e << off)
                 packed[key] = packed.get(key, 0) + ci
         self.flag = flag
@@ -135,28 +135,13 @@ class SymPoly(RingOps):
     def is_zero(self) -> bool:
         return not self.packed
 
-    def _over(self, flag: Flag) -> "SymPoly":
-        """This value over flag, which equals its own, with its Euler parts
-        in the slots of flag's group."""
-        src, dst = self.flag.group, flag.group
-        if src is dst:
-            return self if flag is self.flag else SymPoly._of(flag, self.shift, self.packed)
-        off = flag._eoff
-        packed = {}
-        for m, c in self.packed.items():
-            e = m >> off
-            packed[(m ^ (e << off)) | (translate(src, dst, e) << off)] = c
-        return SymPoly._of(flag, self.shift, packed)
-
     def _coerce(self, other) -> "SymPoly | None":
         if isinstance(other, SymPoly):
-            if other.flag is self.flag and other.shift == self.shift:
-                return other
-            if other.flag != self.flag:
+            if other.flag is not self.flag and other.flag != self.flag:
                 raise MismatchError("operands over different flags")
             if other.shift != self.shift:
                 raise MismatchError("operands over different shifts")
-            return other._over(self.flag)
+            return other
         if isinstance(other, (int, CoeffPoly)):
             return SymPoly.const(self.flag, self.shift, other)
         return None
@@ -196,7 +181,7 @@ class SymPoly(RingOps):
             isinstance(other, SymPoly)
             and (self.flag is other.flag or self.flag == other.flag)
             and self.shift == other.shift
-            and self.packed == other._over(self.flag).packed
+            and self.packed == other.packed
         )
 
     __hash__ = None

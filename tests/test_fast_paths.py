@@ -697,6 +697,22 @@ def test_aug_matches_an_unremembered_twist(spec):
                 assert got == want and got.terms == want.terms and got.group is group
 
 
+@pytest.mark.parametrize("spec", ("Z4", "Z2xZ2"))
+@pytest.mark.parametrize("order", ("down", "shuffled"))
+def test_aug_asked_out_of_order_matches_an_unremembered_twist(spec, order):
+    # on a fresh parse, each stage asked for top down or at random, so most
+    # walks start from a stage below the one asked for, or from stage 0
+    group = parse_group(spec)
+    rng = random.Random(f"{spec}-{order}")
+    for flag in _complete_flags(group, 6):
+        for alpha in group.characters():
+            steps = list(range(flag.length, -1, -1))
+            if order == "shuffled":
+                rng.shuffle(steps)
+            for i in steps:
+                assert aug(flag, alpha, i) == _unremembered_aug(flag, alpha, i)
+
+
 @pytest.mark.parametrize("spec", GROUPS)
 def test_stages_of_one_multiset_are_one_object(spec):
     group = parse_group(spec)
@@ -956,7 +972,7 @@ def test_coefficient_products_match_the_kernel(spec):
         for y in xs + _coeff_polys(twin):
             got = x * y
             assert got.group is group
-            want = mul_terms(x.packed, y._over(group).packed)
+            want = mul_terms(x.packed, y.packed)
             assert got.packed == {m: c for m, c in want.items() if c}
         for n in (0, 1, -3):
             assert (x * n).terms == (n * x).terms == {m: n * c for m, c in x.terms.items() if n}

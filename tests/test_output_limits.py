@@ -1,9 +1,10 @@
 """Limits on what a command computes and prints, each refused with one
 error line and exit status 3, and the exit on a closed output pipe.
 
-An integer power is refused before it is taken when its size, estimated
-from the base's bit length and the exponent, is over MAX_INT_DIGITS
-digits; any other integer that long is refused before it is printed.  An
+An integer power, or a power of a polynomial whose first or last term
+has such a coefficient, is refused before it is taken when its size,
+estimated from that coefficient's bit length and the exponent, is over
+MAX_INT_DIGITS digits; any other integer that long is refused before it is printed.  An
 exponent of a beta or Euler symbol is at most MAX_EXP, from a product or
 from a power.  theta-table builds each twisted stage's Euler class from
 the one before, so it runs in time linear in the flag length.
@@ -46,7 +47,8 @@ def evaluate(capsys, expr) -> tuple:
 # integers too long to print ------------------------------------------------------
 
 
-@pytest.mark.parametrize("expr", ["2^20000", "(2^14000)*(2^14000)", "3^100000000", "(2^14000)^2"])
+@pytest.mark.parametrize("expr", ["2^20000", "(2^14000)*(2^14000)", "3^100000000", "(2^14000)^2",
+                                  "(beta[1]+2)^20000", "(e[(1)]+2)^20000", "(2*beta[1]+1)^20000"])
 def test_integers_over_the_digit_limit_are_refused(capsys, expr):
     err = assert_refused(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
     assert f"over {MAX_INT_DIGITS} digits" in err

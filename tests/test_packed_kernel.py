@@ -338,11 +338,13 @@ def test_operands_over_different_groups_still_refuse():
 
 
 def test_slots_are_given_on_first_use_not_by_rank():
-    group = parse_group("Z100000000")
-    e = CoeffPoly.euler(group.character((99999999,))) * CoeffPoly.euler(group.character((5,)))
-    assert e.packed == {1 + (1 << W): 1}
-    assert group._euler_symbols == [(99999999,), (5,)]
-    assert e.terms == {(((5,), 1), ((99999999,), 1)): 1}
+    # equal groups share one slot table, which other values may have begun
+    group, twin = parse_group("Z100000000"), parse_group("Z100000000")
+    first = len(group._euler_symbols)
+    e = CoeffPoly.euler(group.character((99999989,))) * CoeffPoly.euler(twin.character((31415927,)))
+    assert e.packed == {(1 << W * first) + (1 << W * (first + 1)): 1}
+    assert twin._euler_symbols[first:] == [(99999989,), (31415927,)]
+    assert e.terms == {(((31415927,), 1), ((99999989,), 1)): 1}
 
 
 def test_an_exponent_at_the_limit_works_and_one_past_it_is_refused():
