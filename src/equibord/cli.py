@@ -382,8 +382,14 @@ EXIT_CLOSED_PIPE = 141
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes a value that begins with '-', such as "-beta[1]", for
+    # an option, so --expr is glued to the token after it
+    tokens, words = iter(sys.argv[1:] if argv is None else argv), []
+    for word in tokens:
+        if word == "--expr" and (value := next(tokens, None)) is not None:
+            word = f"--expr={value}"
+        words.append(word)
+    args = build_parser().parse_args(words)
     try:
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -23,15 +23,14 @@ class Flag:
     """Truncated flag of characters; the first one must be trivial.
 
     The first-occurrence table (character -> 1-based index, in order of
-    first occurrence) is built with the flag; the stage representations
-    V_0..V_N are looked up together on the first call to rep, each the
-    group's one object for its multiset, reached from the one before
-    through the character added.  _thetas keeps the inverted classes that
-    symalg builds over the flag.  _eoff is W * (length + 1), the shift of
-    the Euler part of a SymPoly's packed monomial above its beta slots.
+    first occurrence) is built with the flag.  The keys of the stages
+    V_0..V_N, which name each stage's multiset, are built together on
+    aug's first call (_stage_keys).  _thetas keeps the inverted classes
+    that symalg builds over the flag.  _eoff is W * (length + 1), the shift
+    of the Euler part of a SymPoly's packed monomial above its beta slots.
     """
 
-    __slots__ = ("group", "chars", "length", "_hash", "_first", "_stages", "_thetas", "_eoff")
+    __slots__ = ("group", "chars", "length", "_hash", "_first", "_keys", "_thetas", "_eoff")
 
     def __init__(self, group: AbelianGroup, chars):
         cs = tuple(chars)
@@ -62,7 +61,7 @@ class Flag:
         for i, c in enumerate(cs, start=1):
             first.setdefault(c, i)
         self._first = first
-        self._stages: tuple | None = None
+        self._keys: tuple | None = None
         self._thetas: dict = {}
 
     @classmethod
@@ -74,17 +73,26 @@ class Flag:
         return cls._of(group, tuple(ranked[i % len(ranked)] for i in range(length)))
 
     def rep(self, i: int) -> Representation:
-        """The i-th stage V_i as a representation; V_0 is zero."""
+        """The i-th stage V_i as a new representation; V_0 is zero."""
         if not 0 <= i <= self.length:
             raise PreconditionError(f"stage index {i} out of range 0..{self.length}")
-        if self._stages is None:
-            stage = Representation._stage(self.group, (0, 0))
-            stages = [stage]
-            for c in self.chars:
-                stage = stage._next.get(c.residues) or stage._plus(c)
-                stages.append(stage)
-            self._stages = tuple(stages)
-        return self._stages[i]
+        return Representation(self.group, self.chars[:i])
+
+    def _stage_keys(self) -> tuple:
+        """The keys of the stages V_0..V_N, kept in _keys: a stage's key is
+        its number of trivial summands and the packed Euler monomial of the
+        others, so two stages share a key exactly when they are one multiset."""
+        group = self.group
+        trivial = e = 0
+        keys = [(0, 0)]
+        for c in self.chars:
+            if any(rs := c.residues):
+                e += euler_unit(group, rs)
+            else:
+                trivial += 1
+            keys.append((trivial, e))
+        self._keys = tuple(keys)
+        return self._keys
 
     def first_index(self, alpha: Character) -> int | None:
         """1-based index of the first occurrence of alpha, or None."""
@@ -229,29 +237,35 @@ def aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
     class of the alpha^{-1}-twisted stage.  The 0-th value is always one.
 
     The value depends only on alpha and the stage as a multiset, so the
-    stage, which every flag of the group with that multiset shares,
-    remembers it by alpha's residues.  The walk starts from the highest
-    stage below i that remembers its value, stage 0 holding one, and goes
-    up one stage at a time: as Euler classes are multiplicative, each
-    value is the one before times the Euler class of the summand added
-    there, twisted by alpha^{-1}.  So a walk up the stages in order costs
-    one summand per stage."""
+    group remembers it in one table, group._augs[alpha's residues][stage
+    key], which every flag of the group reads.  The walk starts from the
+    highest stage below i whose value is remembered, stage 0 holding one,
+    and goes up one stage at a time: as Euler classes are multiplicative,
+    each value is the one before times the Euler class of the summand
+    added there, twisted by alpha^{-1}.  So a walk up the stages in order
+    costs one summand per stage."""
     if alpha.group is not flag.group and alpha.group != flag.group:
         raise MismatchError("character of a different group")
+    if not 0 <= i <= flag.length:
+        raise PreconditionError(f"stage index {i} out of range 0..{flag.length}")
     group = flag.group
-    key = alpha.residues
-    value = flag.rep(i)._augs.get(key) if i else CoeffPoly.one(group)
+    if not i:
+        return CoeffPoly.one(group)
+    keys = flag._keys or flag._stage_keys()
+    known = group._augs.get(alpha.residues)
+    if known is None:
+        known = group._augs[alpha.residues] = {}
+    value = known.get(keys[i])
     if value is None:
         j = i - 1
-        while j and (value := flag.rep(j)._augs.get(key)) is None:
+        while j and (value := known.get(keys[j])) is None:
             j -= 1
         if not j:
             value = CoeffPoly.one(group)
         inv = alpha.inverse()
         for j in range(j + 1, i + 1):
             added = Representation(group, (flag.chars[j - 1],))
-            value = value * euler_class(added.tensor(inv))
-            flag.rep(j)._augs[key] = value
+            value = known[keys[j]] = value * euler_class(added.tensor(inv))
     return value
 
 

@@ -4,9 +4,8 @@ The ambient group is a finite product of cyclic groups, recorded by the
 tuple of their orders.  A character is a residue vector, one entry per
 cyclic factor, multiplied by componentwise addition; characters double as
 the irreducible representations.  A Representation is a finite multiset of
-characters: the engine meets one only as a flag stage or its twist, whose
-Euler class it takes.  The module also reads the "key = value" files of
-the --specialize and --config options.
+characters, whose Euler class the engine takes.  The module also reads the
+"key = value" files of the --specialize and --config options.
 """
 
 from __future__ import annotations
@@ -47,12 +46,10 @@ class AbelianGroup:
     # the residues by slot: euler_unit gives a symbol the next slot the
     # first time it is used.  Equal groups share the two (_euler_slots), so
     # values over two parses of one group have the same packed terms.
-    # _stages maps the key of a multiset of characters (Representation._key)
-    # to the group's one Representation of it: the flag stage that Flag.rep
-    # reaches and whose twisted Euler classes aug remembers.  It fills as
-    # flags of the group build their stages.
+    # _augs[alpha's residues][stage key] is aug's value of alpha at a flag
+    # stage, keyed by Flag._stage_keys, filled as aug computes it.
     __slots__ = ("cyclic_orders", "identity", "_interned", "_characters", "_residue_sums",
-                 "_euler_nodes", "_euler_units", "_euler_symbols", "_stages")
+                 "_euler_nodes", "_euler_units", "_euler_symbols", "_augs")
 
     def __init__(self, cyclic_orders=()):
         orders = tuple(int(n) for n in cyclic_orders)
@@ -67,7 +64,7 @@ class AbelianGroup:
         if slots is None:
             slots = _euler_slots[orders] = ({}, [])
         self._euler_units, self._euler_symbols = slots
-        self._stages: dict[tuple, Representation] = {}
+        self._augs: dict[tuple, dict] = {}
         self.identity = Character._of(self, (0,) * len(orders))
 
     @property
@@ -231,67 +228,19 @@ class Representation:
 
     The summands are kept sorted by residues, so equal characters are
     adjacent and the trivial one, all of whose residues are zero, comes
-    first.  They are not checked: the callers, Flag.rep and tensor, pass
-    characters already known to belong to group.
-
-    Representation(group, chars) builds a new object that nothing
-    remembers and that remembers nothing: its _key, _next and _augs are
-    None.  A flag stage is instead the group's one object for its multiset,
-    kept in group._stages under its _key: the number of trivial summands
-    and the packed Euler monomial of the others, the product of their
-    symbols.  A stage's summands are unpacked from its key when first
-    read, so a walk up a flag's stages costs one key per stage, not a
-    tuple of every summand.  A stage remembers two tables, both filled on
-    demand: _next maps a character's residues to the stage with that
-    character added, and _augs maps a character alpha's residues to the
-    Euler class of the alpha^{-1}-twisted stage, the augmentation value
-    that aug reads.
+    first.  They are not checked: the callers, Flag.rep, aug and tensor,
+    pass characters already known to belong to group.
     """
 
-    __slots__ = ("group", "_summands", "_key", "_next", "_augs")
+    __slots__ = ("group", "summands")
 
     def __init__(self, group: AbelianGroup, chars):
         self.group = group
-        self._summands = tuple(sorted(chars, key=_by_residues))
-        self._key = self._next = self._augs = None
-
-    @classmethod
-    def _stage(cls, group: AbelianGroup, key: tuple) -> "Representation":
-        """The group's one representation for key, (trivial summands,
-        packed Euler monomial of the others)."""
-        rep = group._stages.get(key)
-        if rep is None:
-            rep = group._stages[key] = object.__new__(cls)
-            rep.group, rep._summands, rep._key, rep._next, rep._augs = group, None, key, {}, {}
-        return rep
-
-    def _plus(self, c: Character) -> "Representation":
-        """The stage with one more summand c, a character of the group,
-        remembered in _next."""
-        trivial, e = self._key
-        rs = c.residues
-        key = (trivial, e + euler_unit(self.group, rs)) if any(rs) else (trivial + 1, e)
-        nxt = self._next[rs] = Representation._stage(self.group, key)
-        return nxt
-
-    @property
-    def summands(self) -> tuple:
-        """The characters, sorted by residues; a stage's are unpacked from
-        its key on first reading."""
-        if self._summands is None:
-            group = self.group
-            trivial, e = self._key
-            chars = [group.identity] * trivial
-            for rs, k in unpack_euler(group, e):
-                chars += [Character._of(group, rs)] * k
-            self._summands = tuple(chars)
-        return self._summands
+        self.summands = tuple(sorted(chars, key=_by_residues))
 
     @property
     def contains_trivial(self) -> bool:
-        if self._key is not None:
-            return self._key[0] > 0
-        return bool(self._summands) and not any(self._summands[0].residues)
+        return bool(self.summands) and not any(self.summands[0].residues)
 
     def tensor(self, alpha: Character) -> "Representation":
         """Twist every summand by the character alpha, reading the products

@@ -40,6 +40,7 @@ No term dict is ever changed in place once wrapped.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import e, log2
 from struct import unpack
 
 from .errors import PreconditionError
@@ -127,11 +128,20 @@ def check_int(c: int):
 
 def check_power(terms: dict, n: int):
     """Raise, before the power is taken, when the n-th power of a nonzero
-    term dict would have a coefficient of over MAX_INT_DIGITS digits: the
-    n-th powers of its lex-first and lex-last coefficients are two of the
-    power's, and |c|**n has at least (bits of c - 1) * n bits."""
+    term dict would have a coefficient of over MAX_INT_DIGITS digits.  Two
+    bounds are sound.  The n-th powers of its lex-first and lex-last
+    coefficients are two of the power's, and |c|**n has at least
+    (bits of c - 1) * n bits.  And the power's coefficients sum to S**n, S
+    the sum of the t coefficients, over at most C(n + t - 1, k) terms,
+    k = min(n, t - 1), which is below (e (n + t - 1) / k)**k; so one of
+    them is at least |S|**n over that.  The second compares n, an int of
+    any size, with a float quotient, and keeps a bit to spare for rounding."""
     c = max(abs(terms[max(terms)]), abs(terms[min(terms)]))
-    if (c.bit_length() - 1) * n >= MAX_INT_BITS:
+    s = abs(sum(terms.values()))
+    t = len(terms)
+    k = min(n, t - 1)
+    spread = k * (log2(n + t - 1) + log2(e) - log2(k)) if k else 0.0  # log2 of the term bound
+    if (c.bit_length() - 1) * n >= MAX_INT_BITS or s > 1 and n > (spread + MAX_INT_BITS + 1) / log2(s):
         raise PreconditionError(
             f"a coefficient of the power {n} would have over {MAX_INT_DIGITS} digits"
         )

@@ -251,6 +251,29 @@ def test_eval_exit_codes(capsys):
     assert "nest" in err
 
 
+@pytest.mark.parametrize("argv, expr", [
+    (("eval", "--group", "Z2", "--truncate", "2"), "-beta[1]"),
+    (("eval", "--group", "Z2", "--truncate", "2", "--format", "json"), "-beta[1] == -1 * beta[1]"),
+    (("rewrite", "--theory", "MU", "--group", "Z2", "--flag", "(0),(1)"),
+     "-beta[1]*beta[2]/theta[(1)]^2"),
+    (("rewrite", "--theory", "MU", "--group", "Z2", "--flag", "(0),(1)", "--format", "json"),
+     "-beta[1]*beta[2]/theta[(1)]^2"),
+])
+def test_an_expression_that_begins_with_a_minus_reads_the_same_either_way(capsys, argv, expr):
+    glued = run(capsys, *argv, f"--expr={expr}")
+    assert glued[0] == 0 and "-" in glued[1] and glued[2] == ""
+    assert run(capsys, *argv, "--expr", expr) == glued
+    # the value may come first, too
+    assert run(capsys, argv[0], "--expr", expr, *argv[1:]) == glued
+
+
+def test_a_bare_trailing_expr_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--group", "Z2", "--truncate", "2", "--expr"])
+    assert exc.value.code == 2
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
+
+
 def test_end_of_expression_is_named(capsys):
     for expr, at in (("beta[1] +", 9), ("", 0)):
         rc, out, err = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)

@@ -3,7 +3,7 @@ representations and their Euler classes, the flag stage and
 first-occurrence tables, the kernel-result constructors, the complete-flag
 enumeration, the collapse check's specialize-then-lift, the coaugmentation
 class, the duality route's shared stage values, the augmentation values
-the stages remember, powers, the sweeps' random draws and their bounded
+the group remembers, powers, the sweeps' random draws and their bounded
 ints, the generator rewrite, the constructors that skip validation,
 monomial and single-term coefficient products and the retraction, each
 checked against a plain reference written here."""
@@ -22,7 +22,7 @@ from equibord import symalg, verify
 from equibord.coeff import CoeffPoly, euler_class, specializer
 from equibord.errors import MismatchError, PreconditionError
 from equibord.flags import Flag, ProjClass, aug, coaug, coaug_via_duality
-from equibord.groups import Character, Representation, parse_group
+from equibord.groups import Character, Representation, euler_unit, parse_group
 from equibord.sparse import mul_terms
 from equibord.symalg import (
     BExpr, LocFraction, SymPoly, expand_b, invertible_characters, lift_to_common, retract,
@@ -339,11 +339,23 @@ def _repeating_flags(group, rng: random.Random) -> list:
 
 @pytest.mark.parametrize("spec", GROUPS)
 def test_flag_stages_are_the_prefixes(spec):
+    # each stage's key counts the trivial summands and adds up the Euler
+    # units of the others, and two stages share a key exactly when they are
+    # one multiset
     group = parse_group(spec)
+    multisets = {}
     for flag in _repeating_flags(group, random.Random(f"stages-{spec}")):
+        keys = flag._stage_keys()
+        assert flag._keys is keys and len(keys) == flag.length + 1
         for i in range(flag.length + 1):
-            assert flag.rep(i).summands == Representation(group, flag.chars[:i]).summands
-            assert flag.rep(i) is flag.rep(i)
+            summands = flag.rep(i).summands
+            assert summands == Representation(group, flag.chars[:i]).summands
+            assert flag.rep(i) is not flag.rep(i)
+            trivial = sum(c.is_trivial for c in summands)
+            e = sum(euler_unit(group, c.residues) for c in summands if not c.is_trivial)
+            assert keys[i] == (trivial, e)
+            assert multisets.setdefault(keys[i], summands) == summands
+    assert len(set(multisets.values())) == len(multisets)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -674,7 +686,7 @@ def test_sharing_holds_over_random_flag_runs(run, augmentation):
     assert len(seen) == want[0]
 
 
-# the augmentation values the stages remember -------------------------------------
+# the augmentation values the group remembers -------------------------------------
 
 
 def _unremembered_aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
@@ -715,7 +727,11 @@ def test_aug_asked_out_of_order_matches_an_unremembered_twist(spec, order):
 
 @pytest.mark.parametrize("spec", GROUPS)
 def test_stages_of_one_multiset_are_one_object(spec):
+    # flags whose i-th stages hold one multiset read one remembered value,
+    # the one object in group._augs, while a twin parse of the group keeps
+    # a table of its own
     group = parse_group(spec)
+    twin = parse_group(spec)
     chars = group.characters()
     rng = random.Random(f"one-stage-{spec}")
     for flag in _repeating_flags(group, rng):
@@ -725,14 +741,19 @@ def test_stages_of_one_multiset_are_one_object(spec):
             tail = [rng.choice(chars) for _ in range(rng.randint(0, 3))]
             # a permuted prefix of validated copies, then any tail
             other = Flag(group, [Character(group, c.residues) for c in [group.identity, *head]] + tail)
-            stage = flag.rep(i)
-            assert other.rep(i) is stage
-            assert all(c is Character._of(group, c.residues) for c in stage.summands)
-            fresh = Representation(group, flag.chars[:i])
-            assert fresh.summands == stage.summands
-            assert all(r is not fresh for r in group._stages.values())
-            twin = parse_group(spec)
-            assert Flag(twin, [twin.character(c.residues) for c in flag.chars]).rep(i) is not stage
+            key = flag._stage_keys()[i]
+            assert other._stage_keys()[i] == key
+            twin_flag = Flag(twin, [twin.character(c.residues) for c in flag.chars])
+            for alpha in rng.sample(chars, min(3, len(chars))):
+                value = aug(flag, alpha, i)
+                assert aug(other, alpha, i) is value
+                assert group._augs[alpha.residues][key] is value
+                twin_value = aug(twin_flag, alpha, i)
+                assert twin_value == value and twin_value is not value
+                assert twin_value.group is twin
+                assert twin._augs[alpha.residues][key] is twin_value
+                assert group._augs[alpha.residues][key] is value
+    assert twin._augs is not group._augs
 
 
 def test_an_injected_augmentation_leaves_the_remembered_values_alone(monkeypatch):
@@ -740,15 +761,49 @@ def test_an_injected_augmentation_leaves_the_remembered_values_alone(monkeypatch
     monkeypatch.setattr(verify, "parse_group", lambda spec: group)
     mutated = _duality_sweep(("Z4",), 5, _mutated_aug)
     assert mutated[1] is not None
-    assert group._stages and not any(stage._augs for stage in group._stages.values())
-    for flag in _complete_flags(group, 5):
+    assert not group._augs  # the mutated route writes nothing to the table
+    flags = list(_complete_flags(group, 5))
+    for flag in flags:
         for alpha in group.characters():
             for i in range(flag.length + 1):
                 assert aug(flag, alpha, i) == _unremembered_aug(flag, alpha, i)
-    # with every value remembered, the mutated route still reads none of them
-    assert all(stage._augs for stage in group._stages.values() if stage.summands)
+    # with every value remembered, the mutated route still reads none of
+    # them and writes none
+    assert all(
+        flag._keys[i] in group._augs[alpha.residues]
+        for flag in flags for alpha in group.characters() for i in range(1, flag.length + 1)
+    )
+    remembered = {a: dict(values) for a, values in group._augs.items()}
     assert _duality_sweep(("Z4",), 5, _mutated_aug) == mutated
+    assert group._augs.keys() == remembered.keys()
+    for a, values in group._augs.items():
+        assert values.keys() == remembered[a].keys()
+        assert all(v is remembered[a][k] for k, v in values.items())
     assert _duality_sweep(("Z4",), 5) == (4 * 66, None)  # 66 complete flags
+
+
+def test_aug_refuses_a_stage_index_out_of_range():
+    group = parse_group("Z4")
+    flag = Flag.cyclic(group, 4)
+    for alpha in group.characters():
+        for i in (-1, flag.length + 1):
+            with pytest.raises(PreconditionError, match=rf"^stage index {i} out of range 0\.\.4$"):
+                aug(flag, alpha, i)
+    assert not group._augs and flag._keys is None
+
+
+def test_a_wrong_value_in_the_table_is_caught_by_the_duality_check(monkeypatch):
+    poisoned = parse_group("Z4")
+    flag = Flag.cyclic(poisoned, 4)
+    alpha = poisoned.character((1,))
+    # stage 1, every flag's trivial summand, twisted by alpha^{-1} is e[(3)]
+    assert aug(flag, alpha, 1) == CoeffPoly.euler(poisoned.character((3,)))
+    poisoned._augs[alpha.residues][flag._keys[1]] = -aug(flag, alpha, 1)
+    monkeypatch.setattr(verify, "parse_group", lambda spec: poisoned)
+    cases, cx = _duality_sweep(("Z4",), 5)
+    assert cx is not None and cx["alpha"] == "(1)"
+    monkeypatch.undo()
+    assert _duality_sweep(("Z4",), 5) == (4 * 66, None)
 
 
 def test_aug_over_a_huge_group_allocates_no_per_character_table():

@@ -1,16 +1,18 @@
 """Limits on what a command computes and prints, each refused with one
 error line and exit status 3, and the exit on a closed output pipe.
 
-An integer power, or a power of a polynomial whose first or last term
-has such a coefficient, is refused before it is taken when its size,
-estimated from that coefficient's bit length and the exponent, is over
-MAX_INT_DIGITS digits; any other integer that long is refused before it is printed.  An
+An integer power, or a power of a polynomial, is refused before it is
+taken when one of its coefficients is sure to be over MAX_INT_DIGITS
+digits: the power of the first or last coefficient, or the power of the
+coefficient sum spread over the most terms the power can have; any
+other integer that long is refused before it is printed.  An
 exponent of a beta or Euler symbol is at most MAX_EXP, from a product or
 from a power.  theta-table builds each twisted stage's Euler class from
 the one before, so it runs in time linear in the flag length.
 """
 
 import hashlib
+from math import comb
 import os
 import pathlib
 import subprocess
@@ -20,7 +22,8 @@ import time
 import pytest
 
 from equibord import cli
-from equibord.sparse import MAX_EXP, MAX_INT_DIGITS
+from equibord.errors import PreconditionError
+from equibord.sparse import MAX_EXP, MAX_INT_DIGITS, W, check_power
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -48,7 +51,8 @@ def evaluate(capsys, expr) -> tuple:
 
 
 @pytest.mark.parametrize("expr", ["2^20000", "(2^14000)*(2^14000)", "3^100000000", "(2^14000)^2",
-                                  "(beta[1]+2)^20000", "(e[(1)]+2)^20000", "(2*beta[1]+1)^20000"])
+                                  "(beta[1]+2)^20000", "(e[(1)]+2)^20000", "(2*beta[1]+1)^20000",
+                                  "(beta[1]+beta[2])^20000", "(1+e[(1)])^20000"])
 def test_integers_over_the_digit_limit_are_refused(capsys, expr):
     err = assert_refused(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
     assert f"over {MAX_INT_DIGITS} digits" in err
@@ -72,6 +76,24 @@ def test_integers_up_to_the_digit_limit_still_print(capsys, tmp_path):
     rc, out, err, _ = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--specialize",
                           str(asg), "--expr", "e[(1)]^2")
     assert rc == 3 and err.startswith("error: ") and out == ""
+
+
+def test_the_coefficient_sum_bound_refuses_only_powers_too_long_to_print():
+    # (beta[1] + beta[2])^n: every coefficient is 1, so only the sum sees the
+    # middle one, C(n, n // 2), which is the largest
+    terms = {1: 1, 1 << W: 1}
+    for n in (3000, 14200):
+        check_power(terms, n)
+        assert comb(n, n // 2) < 10**MAX_INT_DIGITS
+    for n in (14400, 10**8, 10**4000):
+        with pytest.raises(PreconditionError, match=f"power {n} would have over"):
+            check_power(terms, n)
+    assert comb(14400, 7200) > 10**MAX_INT_DIGITS
+    # a constant is refused once its power has more digits than the limit
+    check_power({0: 3}, 9012)
+    with pytest.raises(PreconditionError):
+        check_power({0: 3}, 9100)
+    assert 3**9100 > 10**MAX_INT_DIGITS
 
 
 # exponents at the field limit ------------------------------------------------------
