@@ -383,11 +383,14 @@ EXIT_CLOSED_PIPE = 141
 
 def main(argv=None) -> int:
     # argparse takes a value that begins with '-', such as "-beta[1]", for
-    # an option, so --expr is glued to the token after it
+    # an option, so --expr, or any abbreviation of it argparse accepts
+    # (--e, --ex, --exp: no other option begins with --e), is glued to the
+    # token after it
     tokens, words = iter(sys.argv[1:] if argv is None else argv), []
     for word in tokens:
-        if word == "--expr" and (value := next(tokens, None)) is not None:
-            word = f"--expr={value}"
+        glued = len(word) > 2 and "--expr".startswith(word)
+        if glued and (value := next(tokens, None)) is not None:
+            word = f"{word}={value}"
         words.append(word)
     args = build_parser().parse_args(words)
     try:

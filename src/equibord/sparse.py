@@ -131,20 +131,54 @@ def check_power(terms: dict, n: int):
     term dict would have a coefficient of over MAX_INT_DIGITS digits.  Two
     bounds are sound.  The n-th powers of its lex-first and lex-last
     coefficients are two of the power's, and |c|**n has at least
-    (bits of c - 1) * n bits.  And the power's coefficients sum to S**n, S
-    the sum of the t coefficients, over at most C(n + t - 1, k) terms,
-    k = min(n, t - 1), which is below (e (n + t - 1) / k)**k; so one of
-    them is at least |S|**n over that.  The second compares n, an int of
-    any size, with a float quotient, and keeps a bit to spare for rounding."""
+    (bits of c - 1) * n bits.  And at a point z whose coordinates have
+    absolute value 1, p(z)**n is a sum of the power's coefficients times
+    units, over at most C(n + t - 1, k) terms, k = min(n, t - 1), which is
+    below (e (n + t - 1) / k)**k; so one of them is at least |p(z)|**n
+    over that.  Every variable is free, so any such point will do: all 1s,
+    where p(z) is the coefficient sum S, and, when |S| <= 1 but a |p(z)|
+    of 2 would refuse, the points of _unit_point_values.  The second bound
+    compares n, an int of any size, with a float quotient, and keeps a bit
+    to spare for rounding."""
     c = max(abs(terms[max(terms)]), abs(terms[min(terms)]))
     s = abs(sum(terms.values()))
     t = len(terms)
     k = min(n, t - 1)
     spread = k * (log2(n + t - 1) + log2(e) - log2(k)) if k else 0.0  # log2 of the term bound
+    if s <= 1 and n > spread + MAX_INT_BITS + 1:
+        s = max(_unit_point_values(terms), default=s)
     if (c.bit_length() - 1) * n >= MAX_INT_BITS or s > 1 and n > (spread + MAX_INT_BITS + 1) / log2(s):
         raise PreconditionError(
             f"a coefficient of the power {n} would have over {MAX_INT_DIGITS} digits"
         )
+
+
+def _unit_point_values(terms: dict) -> list:
+    """|p(z)| at one point z per variable whose exponent is not the same
+    in every term (absent is 0): that variable goes to a root of unity z
+    of order 2**(j + 1) and every other to 1, where 2**j is the highest
+    power of two that divides every difference of its exponents.  Then
+    z**k = z**k0 * (-1)**((k - k0) / 2**j), k0 its exponent in the first
+    term, so |p(z)| is |S - 2 F|, S the sum of the coefficients and F the
+    sum of those whose terms differ from the first in bit j of the exponent."""
+    total = sum(terms.values())
+    first = dict(fields(next(iter(terms))))
+    exps: dict = {}
+    for m, c in terms.items():
+        for v, k in fields(m):
+            exps.setdefault(v, []).append((k, c))
+    out = []
+    for v, pairs in exps.items():
+        k0 = first.get(v, 0)
+        diff = k0 if len(pairs) < len(terms) else 0  # an absent exponent is 0
+        for k, _ in pairs:
+            diff |= k ^ k0
+        if bit := diff & -diff:
+            flipped = sum(c for k, c in pairs if (k ^ k0) & bit)
+            if k0 & bit:
+                flipped += total - sum(c for _, c in pairs)
+            out.append(abs(total - 2 * flipped))
+    return out
 
 
 def add_terms(t1: dict, t2: dict) -> dict:

@@ -1,20 +1,26 @@
 """Brute-force oracles and property sweeps over the algebra layers.
 
 Each check runs an exhaustive or seeded-random sweep of one identity and
-returns a CheckResult; run_suite aggregates them.  A sweep yields one
-outcome per case, None when the identity holds and the counterexample when
-it fails; the check counts the cases up to and including the first
-counterexample and stops there.  Reports are fully deterministic for a
-fixed SweepConfig (wall-clock millis aside), and every counterexample's
-argv member replays the failing comparison through the command line.
+returns a CheckResult; run_suite runs them on the usable CPUs and
+aggregates them.  A sweep yields one outcome per case, None when the
+identity holds and the counterexample when it fails; the check counts the
+cases up to and including the first counterexample and stops there.
+Reports are fully deterministic for a fixed SweepConfig (wall-clock millis
+aside), and every counterexample's argv member replays the failing
+comparison through the command line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -601,12 +607,105 @@ ALL_CHECKS = (
 )
 
 
+# the checks as this module defines them; ALL_CHECKS may be rebound
+_ENGINE_CHECKS = frozenset(ALL_CHECKS)
+
+
+def _workers(checks) -> int:
+    """How many processes run the checks: one per usable CPU, at most one
+    per check, and 1 (this process alone) where forking is unsafe or would
+    hide calls.  Forking is unsafe with other threads alive, and a check
+    that is not the engine's own (an instrument wrapping it, say) may count
+    its calls in this process, where the children's calls never show."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if not _ENGINE_CHECKS.issuperset(checks):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(checks))
+
+
+def _take(checks, cfg, queue: int) -> dict:
+    """{index: CheckResult} of the checks run from the queue, a pipe of
+    check indices, one byte each, until it is empty."""
+    done = {}
+    while byte := os.read(queue, 1):
+        done[byte[0]] = checks[byte[0]](cfg)
+    return done
+
+
+def _child(checks, cfg, queue: int, out: int):
+    """A forked worker: runs checks from the queue, writes their pickled
+    results to out only if every one returned, and leaves without running
+    any of the parent's clean-up."""
+    code = 1
+    try:
+        data = pickle.dumps(_take(checks, cfg, queue))
+        with open(out, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_queue(checks, cfg, workers: int) -> dict:
+    """{index: CheckResult} of the checks that this process and up to
+    workers - 1 forked children took from one queue; where the system
+    refuses a fork, the processes already running share the queue.  A
+    child that raised or was killed reports none of its checks.  No child
+    outlives the call: on any exception each is killed, and each is reaped."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(checks))))
+    os.close(feed)
+    children = {}  # pid -> read end of the child's result pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(checks, cfg, queue, w)
+            os.close(w)
+            children[pid] = r
+        done = _take(checks, cfg, queue)
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if os.waitstatus_to_exitcode(status) == 0:
+                done.update(pickle.loads(data))
+        return done
+    finally:
+        os.close(queue)
+        for pid, r in children.items():
+            os.close(r)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_suite(cfg: SweepConfig | None = None) -> Report:
-    """Run every check, sorted by name; overall status fails if any check fails."""
+    """Run every check, sorted by name; overall status fails if any check fails.
+
+    The checks share the usable CPUs (_workers): each process takes the
+    next check from a queue in name order.  Every check no child reported
+    runs here afterwards, so a check that raises raises here.  Each
+    check's millis is its own time, in the process that ran it."""
     cfg = cfg or SweepConfig()
-    checks = [fn(cfg) for fn in sorted(ALL_CHECKS, key=lambda f: f.__name__)]
-    status = "pass" if all(c.status == "pass" for c in checks) else "fail"
-    return Report(status, cfg, checks)
+    checks = sorted(ALL_CHECKS, key=lambda f: f.__name__)
+    workers = _workers(checks)
+    done = _run_queue(checks, cfg, workers) if workers > 1 else {}
+    results = [done[i] if i in done else fn(cfg) for i, fn in enumerate(checks)]
+    status = "pass" if all(c.status == "pass" for c in results) else "fail"
+    return Report(status, cfg, results)
 
 
 def default_config() -> SweepConfig:

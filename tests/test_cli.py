@@ -267,6 +267,15 @@ def test_an_expression_that_begins_with_a_minus_reads_the_same_either_way(capsys
     assert run(capsys, argv[0], "--expr", expr, *argv[1:]) == glued
 
 
+@pytest.mark.parametrize("option", ["--e", "--ex", "--exp"])
+def test_an_abbreviated_expr_takes_a_value_that_begins_with_a_minus(capsys, option):
+    argv = ("eval", "--group", "Z2", "--truncate", "2")
+    got = run(capsys, *argv, option, "-beta[1]")
+    assert got == (0, "kind: polynomial\nvalue: -beta[1]\n", "")
+    assert run(capsys, *argv, "--expr=-beta[1]") == got
+    assert run(capsys, *argv, option, "beta[1]")[1] == "kind: polynomial\nvalue: beta[1]\n"
+
+
 def test_a_bare_trailing_expr_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--group", "Z2", "--truncate", "2", "--expr"])

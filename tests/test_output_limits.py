@@ -4,7 +4,8 @@ error line and exit status 3, and the exit on a closed output pipe.
 An integer power, or a power of a polynomial, is refused before it is
 taken when one of its coefficients is sure to be over MAX_INT_DIGITS
 digits: the power of the first or last coefficient, or the power of the
-coefficient sum spread over the most terms the power can have; any
+coefficient sum, or of the base's value at a point of the unit circle,
+spread over the most terms the power can have; any
 other integer that long is refused before it is printed.  An
 exponent of a beta or Euler symbol is at most MAX_EXP, from a product or
 from a power.  theta-table builds each twisted stage's Euler class from
@@ -52,7 +53,9 @@ def evaluate(capsys, expr) -> tuple:
 
 @pytest.mark.parametrize("expr", ["2^20000", "(2^14000)*(2^14000)", "3^100000000", "(2^14000)^2",
                                   "(beta[1]+2)^20000", "(e[(1)]+2)^20000", "(2*beta[1]+1)^20000",
-                                  "(beta[1]+beta[2])^20000", "(1+e[(1)])^20000"])
+                                  "(beta[1]+beta[2])^20000", "(1+e[(1)])^20000",
+                                  "(beta[1]-beta[2])^20000", "(1-e[(1)])^20000",
+                                  "(beta[1]^2-beta[2]^2)^20000", "(beta[1]-beta[2]+beta[0])^20000"])
 def test_integers_over_the_digit_limit_are_refused(capsys, expr):
     err = assert_refused(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
     assert f"over {MAX_INT_DIGITS} digits" in err
@@ -78,6 +81,14 @@ def test_integers_up_to_the_digit_limit_still_print(capsys, tmp_path):
     assert rc == 3 and err.startswith("error: ") and out == ""
 
 
+def test_a_power_whose_coefficients_sum_to_zero_still_prints_below_the_limit(capsys):
+    # the same text as the product of 100 factors, which takes no power
+    power = evaluate(capsys, "(beta[1]-beta[2])^100")
+    assert power[:3] == evaluate(capsys, "*".join(["(beta[1]-beta[2])"] * 100))[:3]
+    rc, out, err, _ = power
+    assert rc == 0 and err == "" and f" - {comb(100, 49)} * beta[1]^51 * beta[2]^49 + " in out
+
+
 def test_the_coefficient_sum_bound_refuses_only_powers_too_long_to_print():
     # (beta[1] + beta[2])^n: every coefficient is 1, so only the sum sees the
     # middle one, C(n, n // 2), which is the largest
@@ -89,6 +100,15 @@ def test_the_coefficient_sum_bound_refuses_only_powers_too_long_to_print():
         with pytest.raises(PreconditionError, match=f"power {n} would have over"):
             check_power(terms, n)
     assert comb(14400, 7200) > 10**MAX_INT_DIGITS
+    # (beta[0] - beta[1])^n, (beta[0]^2 - beta[1]^2)^n: the coefficients sum
+    # to 0, so only a point with beta[0] at -1, or at i, sees C(n, n // 2);
+    # (beta[0] + beta[1] - beta[2])^n: they sum to 1, and beta[2] at -1 gives
+    # 3.  The points are tried only past the n at which a value of 2 refuses.
+    for terms in ({1: 1, 1 << W: -1}, {2: 1, 2 << W: -1}, {1: 1, 1 << W: 1, 1 << 2 * W: -1}):
+        check_power(terms, 14200)
+        for n in (14400, 10**8, 10**4000):
+            with pytest.raises(PreconditionError, match=f"power {n} would have over"):
+                check_power(terms, n)
     # a constant is refused once its power has more digits than the limit
     check_power({0: 3}, 9012)
     with pytest.raises(PreconditionError):

@@ -1,6 +1,9 @@
+import functools
 import json
 import math
+import os
 import pathlib
+import threading
 import time
 
 import jsonschema
@@ -516,3 +519,177 @@ def test_each_budget_is_refused_one_past_its_limit():
     SweepConfig(groups=("1",), max_index=1, max_dimension=769, random_cases=1)  # 299,915
     with pytest.raises(PreconditionError, match="would run over 300000 cases"):
         SweepConfig(groups=("1",), max_index=1, max_dimension=770, random_cases=1)  # 300,690
+
+
+# the checks' work queue -----------------------------------------------------
+
+
+def _without_millis(report) -> dict:
+    doc = report.to_json()
+    for c in doc["checks"]:
+        c.pop("millis")
+    return doc
+
+
+def _cpus(monkeypatch, n: int) -> list:
+    """Make n CPUs usable, whatever the host has; returns the pids forked."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cfg", [SMALL, *(SweepConfig(rng_seed=s) for s in range(1, 5))],
+                         ids=["small", *(f"seed{s}" for s in range(1, 5))])
+def test_the_queue_reports_what_one_process_reports(monkeypatch, cfg):
+    forked = _cpus(monkeypatch, 1)
+    serial = run_suite(cfg)
+    assert forked == []
+    forked = _cpus(monkeypatch, 3)
+    parallel = run_suite(cfg)
+    assert len(forked) == 2
+    _assert_no_child_left()
+    assert _without_millis(parallel) == _without_millis(serial)
+    assert [c.check for c in parallel.checks] == sorted(f.__name__ for f in ALL_CHECKS)
+
+
+def test_no_more_processes_than_checks(monkeypatch):
+    # more workers than the host has cores, each check reported once
+    expected = _without_millis(run_suite(SMALL))
+    forked = _cpus(monkeypatch, 64)
+    assert _without_millis(run_suite(SMALL)) == expected
+    assert len(forked) == len(ALL_CHECKS) - 1
+    _assert_no_child_left()
+
+
+def test_a_failing_check_reports_its_counterexample_from_the_queue(monkeypatch):
+    _fault_at(monkeypatch, "retract", 5, _echo_input)
+    expected = check_retraction(SMALL)
+    monkeypatch.undo()
+    _fault_at(monkeypatch, "retract", 5, _echo_input)
+    forked = _cpus(monkeypatch, len(ALL_CHECKS))
+    report = run_suite(SMALL)
+    assert len(forked) == len(ALL_CHECKS) - 1
+    _assert_no_child_left()
+    assert report.status == "fail"
+    got = {c.check: c for c in report.checks}["check_retraction"]
+    assert (got.status, got.cases, got.counterexample) == ("fail", expected.cases,
+                                                           expected.counterexample)
+    assert all(c.status == "pass" for c in report.checks if c is not got)
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_a_raising_check_raises_from_the_queue(monkeypatch):
+    def retract(y, n):
+        raise _Raised("retract")
+
+    monkeypatch.setattr(verify, "retract", retract)
+    forked = _cpus(monkeypatch, len(ALL_CHECKS))
+    with pytest.raises(_Raised):
+        run_suite(SMALL)
+    assert len(forked) == len(ALL_CHECKS) - 1
+    _assert_no_child_left()
+
+
+def test_a_raise_in_the_parent_kills_the_children(monkeypatch):
+    # each child sleeps as it finishes its first check; the parent raises
+    parent, real = os.getpid(), verify._finish
+
+    def finish(name, *args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return real(name, *args)
+        raise _Raised(name)
+
+    monkeypatch.setattr(verify, "_finish", finish)
+    forked = _cpus(monkeypatch, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(_Raised):
+        run_suite(SMALL)
+    assert time.perf_counter() - t0 < 30
+    assert len(forked) == 2
+    _assert_no_child_left()
+
+
+def test_the_checks_of_a_child_that_died_run_in_the_parent(monkeypatch):
+    # a child dies as it finishes its first check, so the parent finishes
+    # every check itself
+    parent, real, finished = os.getpid(), verify._finish, []
+
+    def finish(name, *args):
+        if os.getpid() != parent:
+            os._exit(9)
+        finished.append(name)
+        return real(name, *args)
+
+    expected = _without_millis(run_suite(SMALL))
+    monkeypatch.setattr(verify, "_finish", finish)
+    forked = _cpus(monkeypatch, 3)
+    assert _without_millis(run_suite(SMALL)) == expected
+    assert len(forked) == 2
+    assert sorted(finished) == sorted(f.__name__ for f in ALL_CHECKS)
+    _assert_no_child_left()
+
+
+def test_a_refused_fork_leaves_the_queue_to_the_processes_running(monkeypatch):
+    expected = _without_millis(run_suite(SMALL))
+    forked = _cpus(monkeypatch, 3)
+    real_fork = os.fork
+
+    def fork():
+        if forked:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _without_millis(run_suite(SMALL)) == expected
+    assert len(forked) == 1
+    _assert_no_child_left()
+
+
+def test_wrapped_checks_run_in_this_process(monkeypatch):
+    # an instrument that wraps the checks counts their calls where it runs
+    seen = []
+
+    def wrapped(check):
+        @functools.wraps(check)
+        def counted(cfg):
+            seen.append((check.__name__, os.getpid()))
+            return check(cfg)
+        return counted
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(wrapped(c) for c in ALL_CHECKS))
+    forked = _cpus(monkeypatch, len(ALL_CHECKS))
+    assert run_suite(SMALL).status == "pass"
+    assert forked == []
+    assert sorted(seen) == sorted((c.__name__, os.getpid()) for c in ALL_CHECKS)
+
+
+def test_the_checks_run_in_one_process_while_another_thread_is_alive(monkeypatch):
+    forked = _cpus(monkeypatch, len(ALL_CHECKS))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_suite(SMALL).status == "pass"
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forked == []
