@@ -77,9 +77,12 @@ def _load_assignment(path: str, flag: Flag) -> dict:
     return asg
 
 
-def _emit(args, doc: dict, text_lines: list) -> int:
+def _emit(args, text_lines: list, doc) -> int:
+    """Print the text lines, or for --format json the document doc() builds.
+    The text comes first for every format: render.signed_product refuses an
+    over-long integer before any JSON is built or anything is written."""
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc(), indent=2))
     else:
         print("\n".join(text_lines))
     return 0
@@ -94,12 +97,12 @@ def _context_header(group, flag) -> list:
 
 
 def _coaug_section(flag, asg) -> tuple:
-    """Text lines and JSON entries for the coaugmentation classes of the
-    characters that occur in the flag, in lexicographic order."""
+    """Text lines for the coaugmentation classes of the characters that
+    occur in the flag, in lexicographic order, and a function building
+    their JSON entries."""
     coaugs = [(al, specialized(coaug(flag, al), asg)) for al in sorted(set(flag.chars))]
     lines = [f"theta[{al}] = {cls}" for al, cls in coaugs]
-    entries = [{"alpha": str(al), "class": cls.to_json()} for al, cls in coaugs]
-    return lines, entries
+    return lines, lambda: [{"alpha": str(al), "class": cls.to_json()} for al, cls in coaugs]
 
 
 # the most values theta-table prints, order x (flag length + 1), checked before
@@ -119,14 +122,14 @@ def cmd_theta_table(args) -> int:
         (al, [specialized(aug(flag, al, i), asg) for i in range(n + 1)])
         for al in group.characters()
     ]
-    coaug_lines, coaug_entries = _coaug_section(flag, asg)
+    coaug_lines, coaug_json = _coaug_section(flag, asg)
     lines = _context_header(group, flag)
     lines.append(f"theta(alpha)(y(V_i)) for i = 0..{n}:")
     for al, vals in rows:
         lines.append(f"{al} | " + " | ".join(map(str, vals)))
     lines.append("coaugmentation classes:")
     lines += coaug_lines
-    doc = {
+    return _emit(args, lines, lambda: {
         "schema": "equibord/theta-table/v1",
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
@@ -135,22 +138,20 @@ def cmd_theta_table(args) -> int:
             {"alpha": str(al), "values": [v.to_json() for v in vals]}
             for al, vals in rows
         ],
-        "coaugmentations": coaug_entries,
-    }
-    return _emit(args, doc, lines)
+        "coaugmentations": coaug_json(),
+    })
 
 
 def cmd_thetas(args) -> int:
     group, flag, asg = _resolve_context(args)
-    coaug_lines, coaug_entries = _coaug_section(flag, asg)
-    doc = {
+    coaug_lines, coaug_json = _coaug_section(flag, asg)
+    return _emit(args, _context_header(group, flag) + coaug_lines, lambda: {
         "schema": "equibord/thetas/v1",
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
         "degree_convention": "homological",
-        "coaugmentations": coaug_entries,
-    }
-    return _emit(args, doc, _context_header(group, flag) + coaug_lines)
+        "coaugmentations": coaug_json(),
+    })
 
 
 def cmd_present(args) -> int:
@@ -172,8 +173,7 @@ def cmd_present(args) -> int:
             lines.append(f"  {inv['symbol']} (degree {inv['degree']}) = {inv['expansion']}")
     else:
         lines.append("  (none)")
-    doc = {"schema": "equibord/present/v1", **pres}
-    return _emit(args, doc, lines)
+    return _emit(args, lines, lambda: {"schema": "equibord/present/v1", **pres})
 
 
 def cmd_rewrite(args) -> int:
@@ -184,27 +184,25 @@ def cmd_rewrite(args) -> int:
         raise SpecParseError("rewrite expects a fraction, not a comparison")
     frac = as_fraction(outcome["value"], ctx)
     result = to_b_generators(frac) if ctx.shift == -2 else to_c_generators(frac)
-    lines = [str(result)]
-    doc = {
+    sp = result.specialize(asg) if asg else None
+    lines = [str(result)] + ([f"specialized: {sp}"] if asg else [])
+    return _emit(args, lines, lambda: {
         "schema": "equibord/rewrite/v1",
         "theory": args.theory,
         "group": str(group),
         "flag": [str(c) for c in flag.chars],
         "shift": ctx.shift,
         "input": args.expr,
-        "result": {"text": str(result), **result.to_json()},
-    }
-    if asg:
-        sp = result.specialize(asg)
-        lines.append(f"specialized: {sp}")
-        doc["specialized"] = {"text": str(sp), **sp.to_json()}
-    return _emit(args, doc, lines)
+        "result": {"text": lines[0], **result.to_json()},
+        **({"specialized": {"text": str(sp), **sp.to_json()}} if asg else {}),
+    })
 
 
 def cmd_eval(args) -> int:
     group, flag, asg = _resolve_context(args)
     ctx = _expr_context(args, flag)
     outcome = eval_expression(args.expr, ctx)
+    data = args.format == "json"
     doc = {
         "schema": "equibord/eval/v1",
         "group": str(group),
@@ -217,19 +215,19 @@ def cmd_eval(args) -> int:
     if outcome["kind"] == "comparison":
         lines = []
         for side in ("lhs", "rhs"):
-            desc = doc[side] = describe_value(outcome[side], asg)
+            desc = doc[side] = describe_value(outcome[side], asg, data)
             lines.append(f"{side}: {desc['text']}")
             if "specialized_text" in desc:
                 lines.append(f"{side} specialized: {desc['specialized_text']}")
         lines.append(f"verdict: {'equal' if outcome['equal'] else 'not equal'}")
         doc["equal"] = outcome["equal"]
     else:
-        val = describe_value(outcome["value"], asg)
+        val = describe_value(outcome["value"], asg, data)
         lines = [f"kind: {val['kind']}", f"value: {val['text']}"]
         if "specialized_text" in val:
             lines.append(f"specialized: {val['specialized_text']}")
         doc["value"] = val
-    return _emit(args, doc, lines)
+    return _emit(args, lines, lambda: doc)
 
 
 def cmd_verify(args) -> int:

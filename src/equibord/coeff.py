@@ -11,12 +11,9 @@ class of a representation with a trivial summand is zero outright.
 from __future__ import annotations
 
 from .errors import MismatchError, PreconditionError
-from .groups import AbelianGroup, Character, Representation, euler_unit, format_residues, unpack_euler
-from .render import flat_terms, join_signed, signed_product
-from .sparse import (
-    MAX_EXP, W, RingOps, add_terms, check, check_power, divexact_terms, fields, mul_terms, power,
-    sorted_terms,
-)
+from .groups import AbelianGroup, Character, Representation, euler_unit, unpack_euler
+from .render import join_signed, signed_terms, walk
+from .sparse import MAX_EXP, W, RingOps, add_terms, check, check_power, divexact_terms, fields, mul_terms, power
 
 
 def pack_euler(group: AbelianGroup, m) -> int:
@@ -171,20 +168,15 @@ class CoeffPoly(RingOps):
         image = specializer(self.group, assignment)
         return CoeffPoly._of(self.group, specialized_terms(self.packed, image))
 
-    def flat_terms(self) -> list:
-        return flat_terms(self.terms, "e", format_residues, None)
+    def _walk(self, text: bool = True):
+        """The terms in output order (render.walk), all in one beta part."""
+        return walk({0: self.packed}, self.group, lambda b: (0, []), text)
 
     def __str__(self):
-        return join_signed([signed_product(c, syms) for c, syms in self.flat_terms()])
+        return join_signed(signed_terms(self._walk()))
 
     def to_json(self) -> list:
-        return [
-            {
-                "coeff": c,
-                "exponents": {format_residues(rs): k for rs, k in m},
-            }
-            for m, c in sorted_terms(self.terms)
-        ]
+        return [{"coeff": c, "exponents": euler} for c, euler, _ in self._walk(False)]
 
     def __repr__(self):
         return f"CoeffPoly({self.group}, {self})"

@@ -340,18 +340,21 @@ def as_fraction(val: _Val, ctx: ExprContext) -> LocFraction:
     return payload if val.kind == "frac" else LocFraction(payload, {}, ctx.mode)
 
 
-def describe_value(val: _Val, assignment: dict | None = None) -> dict:
+def describe_value(val: _Val, assignment: dict | None = None, data: bool = True) -> dict:
     """Render an evaluated value for output; fractions are greedily reduced.
 
     A specializing assignment, when given, is applied to the displayed end
-    result only.
+    result only.  The JSON forms are built only when data is true.
     """
     payload = val.payload
     if val.kind == "frac":
         payload = frac_reduce(payload)
-    out = {"kind": _LABELS[val.kind], "text": str(payload), "data": payload.to_json()}
+    out = {"kind": _LABELS[val.kind], "text": str(payload)}
+    if data:
+        out["data"] = payload.to_json()
     if assignment:
         sp = payload.specialize(assignment)
         out["specialized_text"] = str(sp)
-        out["specialized_data"] = sp.to_json()
+        if data:
+            out["specialized_data"] = sp.to_json()
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .coeff import CoeffPoly, euler_class, specialized_terms, specializer
 from .errors import MismatchError, PreconditionError, SpecParseError
 from .groups import AbelianGroup, Character, Representation, euler_unit, parse_character
-from .render import join_signed, signed_product
+from .render import join_signed, signed_terms, walk
 from .sparse import W
 
 
@@ -216,17 +216,19 @@ class ProjClass:
         }
         return ProjClass._of(self.flag, coeffs)
 
+    def _walk(self, text: bool = True):
+        """The terms in output order (render.walk), each with its index i."""
+        split = {i: c.packed for i, c in self.coeffs.items()}
+        return walk(split, self.flag.group, lambda i: (i, [f"beta[{i}]"] if text else i), text)
+
     def __str__(self):
-        parts = []
-        for i in sorted(self.coeffs):
-            for c, esyms in self.coeffs[i].flat_terms():
-                parts.append(signed_product(c, esyms + [f"beta[{i}]"]))
-        return join_signed(parts)
+        return join_signed(signed_terms(self._walk()))
 
     def to_json(self) -> list:
-        return [
-            {"index": i, "coeff": self.coeffs[i].to_json()} for i in sorted(self.coeffs)
-        ]
+        coeffs: dict = {}
+        for c, euler, i in self._walk(False):
+            coeffs.setdefault(i, []).append({"coeff": c, "exponents": euler})
+        return [{"index": i, "coeff": terms} for i, terms in coeffs.items()]
 
     def __repr__(self):
         return f"ProjClass({self.flag}, {self})"

@@ -27,9 +27,10 @@ bit comes out set.
 Orders.  Exact division (divexact_terms) takes the leading term as the
 plain max of the packed ints.  That is lex order over the slots, highest
 slot first, a monomial order: adding a monomial to two ints keeps their
-order.  Rendering never sees slots: the classes unpack each monomial into
-(variable, exponent) pairs, beta indices or character residues, and sort
-by grlex, so output does not depend on which slot a symbol was given.
+order.  The output order is not kept here: render.walk unpacks each
+distinct monomial once, into (variable, exponent) pairs, beta indices or
+character residues, and sorts by graded lex on those, so output does not
+depend on which slot a symbol was given.
 
 Zero-free contract: a term dict holds no zero coefficient.  add_terms and
 mul_terms keep it, dropping a monomial the moment its coefficient cancels,
@@ -96,29 +97,6 @@ def degree(m: int) -> int:
     return m % FIELD
 
 
-def grlex(m: tuple) -> list:
-    """Sort key of the one rendering order, on an unpacked monomial, a tuple
-    of (variable, exponent) pairs sorted by variable: ascending keys are
-    descending graded-lex order.  The total degree is negated and each
-    (v, k) becomes (v, -k); a monomial whose pairs begin another's has a
-    lower degree, so no end marker is needed.  Variables compare as they
-    are: beta indices as ints, characters as residue tuples, in
-    AbelianGroup.unrank's order."""
-    key = [0]
-    total = 0
-    for v, k in m:
-        total += k
-        key.append((v, -k))
-    key[0] = -total
-    return key
-
-
-def sorted_terms(terms: dict) -> list:
-    """(monomial, coefficient) pairs of a dict on unpacked monomials, in
-    descending graded-lex order."""
-    return [(m, terms[m]) for m in sorted(terms, key=grlex)]
-
-
 def check_int(c: int):
     """Raise when the int c has more than MAX_INT_DIGITS digits, before it
     is printed: CPython refuses to convert it to text."""
@@ -137,8 +115,9 @@ def check_power(terms: dict, n: int):
     below (e (n + t - 1) / k)**k; so one of them is at least |p(z)|**n
     over that.  Every variable is free, so any such point will do: all 1s,
     where p(z) is the coefficient sum S, and, when |S| <= 1 but a |p(z)|
-    of 2 would refuse, the points of _unit_point_values.  The second bound
-    compares n, an int of any size, with a float quotient, and keeps a bit
+    of 2 would refuse, the points of _unit_point_values.  When both let
+    the power pass, _l2_refuses tries a third (Mahler 1962).  The bounds
+    compare n, an int of any size, with a float quotient, and keep a bit
     to spare for rounding."""
     c = max(abs(terms[max(terms)]), abs(terms[min(terms)]))
     s = abs(sum(terms.values()))
@@ -147,10 +126,36 @@ def check_power(terms: dict, n: int):
     spread = k * (log2(n + t - 1) + log2(e) - log2(k)) if k else 0.0  # log2 of the term bound
     if s <= 1 and n > spread + MAX_INT_BITS + 1:
         s = max(_unit_point_values(terms), default=s)
-    if (c.bit_length() - 1) * n >= MAX_INT_BITS or s > 1 and n > (spread + MAX_INT_BITS + 1) / log2(s):
+    if ((c.bit_length() - 1) * n >= MAX_INT_BITS or s > 1 and n > (spread + MAX_INT_BITS + 1) / log2(s)
+            or _l2_refuses(terms, n, spread)):
         raise PreconditionError(
             f"a coefficient of the power {n} would have over {MAX_INT_DIGITS} digits"
         )
+
+
+# the most terms of p**k that _l2_refuses squares again
+L2_SQUARE_TERMS = 500
+
+
+def _l2_refuses(terms: dict, n: int, spread: float) -> bool:
+    """Whether the l2 norm of p = terms proves that p**n has a coefficient
+    of at least MAX_INT_BITS bits.  Every variable is free, so by Parseval
+    ||q||_2 is the L2 norm of q over the torus, and the power mean gives
+    ||p**n||_2 >= ||p**k||_2**(n / k) for n >= k.  The largest coefficient
+    of p**n is at least ||p**n||_2 over the root of its term count, whose
+    log2 is at most spread.  k is 16, or less when p**k has over
+    L2_SQUARE_TERMS terms.  A square over the exponent limit raises, as
+    p**n would: its top exponent in each variable is n times p's.  Only an
+    n past what ||p**k||_2 <= ||p||_1**k allows is tried, so small powers
+    cost one sum."""
+    need = MAX_INT_BITS + 1 + spread / 2  # bits ||p**n||_2 must reach
+    l1 = sum(map(abs, terms.values()))
+    if n < 16 or l1 < 2 or n <= need / log2(l1):
+        return False
+    q, k = terms, 1
+    while k < 16 and len(q) <= L2_SQUARE_TERMS:
+        q, k = mul_terms(q, q), 2 * k
+    return n > 2 * k * need / log2(sum(c * c for c in q.values()))
 
 
 def _unit_point_values(terms: dict) -> list:

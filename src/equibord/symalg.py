@@ -24,40 +24,17 @@ from functools import wraps
 from .coeff import CoeffPoly, specialized_terms, specializer
 from .errors import MismatchError, PreconditionError
 from .flags import Flag, coaug
-from .groups import Character, format_residues
-from .render import flat_terms, format_power, join_signed, signed_product, specialized
+from .groups import Character
+from .render import beta_part, inverted, join_signed, signed_terms, specialized, walk
 from .sparse import (
     FIELD, MAX_EXP, W, RingOps, add_terms, check_power, degree, divexact_terms, fields, mul_terms,
-    power, sorted_terms,
+    power,
 )
 
 SHIFTS = (-2, 0, 2)
 MODES = ("MUP", "mUP")
 FAMILIES = {-2: "b", 2: "c"}  # shift -> its ring's degree-zero generators b_i or c_i
 _FAMILY_SHIFT = {family: shift for shift, family in FAMILIES.items()}
-
-
-def _term_parts(num: "SymPoly", name: str) -> list:
-    """The terms of num as signed products, its variables written name[i]."""
-    return [
-        signed_product(c, syms)
-        for c, syms in flat_terms(num.terms, name, str, CoeffPoly.flat_terms)
-    ]
-
-
-def _terms_json(num: "SymPoly", name: str) -> list:
-    """The terms of num as JSON objects, its variable exponents under name."""
-    out = []
-    for m, c in sorted_terms(num.terms):
-        for cm, ci in sorted_terms(c.terms):
-            out.append(
-                {
-                    "coeff": ci,
-                    "euler": {format_residues(rs): k for rs, k in cm},
-                    name: {str(i): k for i, k in m},
-                }
-            )
-    return out
 
 
 class SymPoly(RingOps):
@@ -239,11 +216,16 @@ class SymPoly(RingOps):
         assignment is checked first, entry by entry, even on zero."""
         return _specialized(self, specializer(self.flag.group, assignment))
 
-    def __str__(self):
-        return join_signed(_term_parts(self, "beta"))
+    def _walk(self, name: str, text: bool = True):
+        """The terms in output order (render.walk), beta_i written name[i]."""
+        return walk(_split(self), self.flag.group, beta_part(name, text), text)
 
-    def to_json(self) -> list:
-        return _terms_json(self, "beta")
+    def __str__(self):
+        return join_signed(signed_terms(self._walk("beta")))
+
+    def to_json(self, name: str = "beta") -> list:
+        """The terms as JSON objects, the beta exponents under name."""
+        return [{"coeff": c, "euler": euler, name: b} for c, euler, b in self._walk(name, False)]
 
     def __repr__(self):
         return f"SymPoly({self.flag}, d={self.shift}, {self})"
@@ -407,31 +389,15 @@ class _Quotient(RingOps):
         """Specialize the numerator's coefficients; the denominator stays symbolic."""
         return self._like(self.num.specialize(assignment), self.denom)
 
-    def denominator_string(self) -> str:
-        dens = [
-            format_power(f"{self._theta_name}[{al}]", self.denom[al])
-            for al in sorted(self.denom, key=lambda a: a.residues)
-        ]
-        if not dens:
-            return ""
-        body = " * ".join(dens)
-        return f"({body})" if len(dens) > 1 else body
-
     def _text(self) -> str:
-        parts = _term_parts(self.num, self._name)
-        num = join_signed(parts)
-        den = self.denominator_string()
-        if not den or not parts:
+        parts = signed_terms(self.num._walk(self._name))
+        dens = inverted(self.denom, self._theta_name)
+        num, den = join_signed(parts), " * ".join(dens)
+        if not dens or not parts:
             return num
         if len(parts) > 1:
             num = f"({num})"
-        return f"{num} / {den}"
-
-    def _denominator_json(self) -> list:
-        return [
-            {"alpha": str(al), "power": self.denom[al]}
-            for al in sorted(self.denom, key=lambda a: a.residues)
-        ]
+        return f"{num} / ({den})" if len(dens) > 1 else f"{num} / {den}"
 
 
 def _lift(num_a, denom_a: dict, num_b, denom_b: dict, theta) -> tuple:
@@ -546,7 +512,7 @@ class LocFraction(_Quotient):
     def to_json(self) -> dict:
         return {
             "numerator": self.num.to_json(),
-            "denominator": self._denominator_json(),
+            "denominator": inverted(self.denom),
             "mode": self.mode,
             "shift": self.num.shift,
         }
@@ -708,8 +674,8 @@ class BExpr(_Quotient):
     def to_json(self) -> dict:
         return {
             "family": self.family,
-            "numerator": _terms_json(self.num, "generators"),
-            "denominator": self._denominator_json(),
+            "numerator": self.num.to_json("generators"),
+            "denominator": inverted(self.denom),
         }
 
     def __repr__(self):

@@ -118,11 +118,6 @@ def duality_sizes(groups, max_flag_len: int) -> tuple:
     return cases, coefficients
 
 
-def duality_case_count(groups, max_flag_len: int) -> int:
-    """The case count of duality_sizes."""
-    return duality_sizes(groups, max_flag_len)[0]
-
-
 def retraction_case_count(max_index: int, max_dimension: int) -> int:
     """The number of cases check_retraction runs per group, or one more per
     random combination that cancels to zero: for each dimension n up to

@@ -522,3 +522,40 @@ def test_man_matches_golden(capsys, monkeypatch):
     rc, out, err = run(capsys, "man")
     assert (rc, err) == (0, "")
     assert out == (GOLDEN / "man.txt").read_text()
+
+
+# a text request builds no JSON -----------------------------------------------
+
+TEXT_REQUESTS = {
+    "theta-table": ["theta-table", "--group", "Z3", "--truncate", "4"],
+    "thetas": ["thetas", "--group", "Z3", "--truncate", "5"],
+    "rewrite": ["rewrite", "--theory", "MU", "--group", "Z3", "--truncate", "3", "--expr",
+                "beta[1]/theta[(1)] + e[(2)]*beta[1]*beta[2]/(theta[(1)]*theta[(2)])"],
+    "eval-value": ["eval", "--group", "Z3", "--truncate", "4", "--expr",
+                   "(beta[1] + e[(1)]*beta[2])/theta[(1)] - e[(2)]^2"],
+    "eval-comparison": ["eval", "--group", "Z3", "--truncate", "4", "--expr",
+                        "beta[1]*theta[(2)]/theta[(1)] == beta[1]*e[(1)]"],
+}
+
+
+@pytest.mark.parametrize("specialize", [False, True], ids=["plain", "specialized"])
+@pytest.mark.parametrize("name", list(TEXT_REQUESTS))
+def test_a_text_request_builds_no_json(capsys, monkeypatch, tmp_path, name, specialize):
+    from equibord.coeff import CoeffPoly
+    from equibord.flags import ProjClass
+    from equibord.symalg import BExpr, LocFraction, SymPoly
+
+    argv = TEXT_REQUESTS[name]
+    if specialize:
+        sp = tmp_path / "sp.txt"
+        sp.write_text("e[(1)] = e[(2)]^2 + 2\n")
+        argv = [*argv, "--specialize", str(sp)]
+    want = run(capsys, *argv)
+    assert want[0] == 0 and want[2] == ""
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError(f"{type(self).__name__}.to_json called for a text request")
+
+    for cls in (CoeffPoly, ProjClass, SymPoly, LocFraction, BExpr):
+        monkeypatch.setattr(cls, "to_json", refuse)
+    assert run(capsys, *argv) == want

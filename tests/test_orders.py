@@ -1,7 +1,8 @@
 """One monomial order and one character order, and the limits that keep a
 huge group from being listed.
 
-sparse.grlex is checked against the dense graded-lex key it replaced, kept
+render.grlex, and the order in which render.walk gives the terms of a
+value, are checked against the dense graded-lex key grlex replaced, kept
 here as the reference.  AbelianGroup.unrank, Flag.cyclic and the
 missing-character search of presentation are checked against enumerating
 the whole group.  Commands on a huge group with a short flag run in time
@@ -24,9 +25,11 @@ import pytest
 
 from equibord import cli
 from equibord.errors import PreconditionError, SpecParseError
+from equibord.coeff import CoeffPoly
 from equibord.flags import Flag
-from equibord.groups import MAX_INT_DIGITS, AbelianGroup, parse_group
-from equibord.sparse import grlex, sorted_terms
+from equibord.groups import MAX_INT_DIGITS, AbelianGroup, format_residues, parse_group
+from equibord.render import beta_part, grlex, walk
+from equibord.sparse import W
 from equibord.symalg import presentation
 from equibord.verify import DEFAULT_GROUPS, MAX_COLLAPSE_PAIRS, SweepConfig
 
@@ -91,11 +94,12 @@ def monomials(rng: random.Random, variables: list) -> set:
     return out
 
 
-def assert_same_order(monos: set, reference):
+def assert_same_order(monos: set, reference) -> list:
+    """monos in descending order of the reference key, which grlex keeps."""
     want = sorted(monos, key=reference, reverse=True)
     assert sorted(monos, key=grlex) == want
-    assert [m for m, _ in sorted_terms({m: 1 for m in monos})] == want
     assert min(monos, key=grlex) == max(monos, key=reference)
+    return want
 
 
 # the monomial order ------------------------------------------------------------
@@ -109,14 +113,27 @@ def test_grlex_sorts_euler_monomials_as_the_dense_key():
             assert grlex(()) == [0]
             continue
         reference = dense_grlex_key({rs: i for i, rs in enumerate(nontrivial)})
-        assert_same_order(monomials(rng, nontrivial), reference)
+        monos = monomials(rng, nontrivial)
+        want = assert_same_order(monos, reference)
+        # the renderer walks the terms of a coefficient in that order
+        walked = CoeffPoly(AbelianGroup(orders), {m: 1 for m in monos})._walk(False)
+        assert [euler for _, euler, _ in walked] == [
+            {format_residues(rs): k for rs, k in m} for m in want
+        ]
 
 
 def test_grlex_sorts_beta_monomials_as_the_dense_key():
     rng = random.Random(23)
     for length in (1, 2, 3, 6, 12, 40):
         variables = list(range(length + 1))
-        assert_same_order(monomials(rng, variables), dense_grlex_key(variables))
+        monos = monomials(rng, variables)
+        want = assert_same_order(monos, dense_grlex_key(variables))
+        # the renderer walks the beta parts of a value in that order
+        split = {sum(k << (W * i) for i, k in m): {0: 1} for m in monos}
+        walked = walk(split, AbelianGroup(()), beta_part("beta"))
+        assert [" * ".join(b) for _, _, b in walked] == [
+            " * ".join(f"beta[{i}]" + (f"^{k}" if k > 1 else "") for i, k in m) for m in want
+        ]
 
 
 def test_grlex_cases_by_hand():

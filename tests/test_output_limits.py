@@ -5,26 +5,27 @@ An integer power, or a power of a polynomial, is refused before it is
 taken when one of its coefficients is sure to be over MAX_INT_DIGITS
 digits: the power of the first or last coefficient, or the power of the
 coefficient sum, or of the base's value at a point of the unit circle,
-spread over the most terms the power can have; any
-other integer that long is refused before it is printed.  An
+spread over the most terms the power can have, or the l2 norm of a power
+of the base; any other integer that long is refused before it is printed.  An
 exponent of a beta or Euler symbol is at most MAX_EXP, from a product or
 from a power.  theta-table builds each twisted stage's Euler class from
 the one before, so it runs in time linear in the flag length.
 """
 
 import hashlib
-from math import comb
+from math import comb, factorial
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from equibord import cli
+from equibord import cli, sparse
 from equibord.errors import PreconditionError
-from equibord.sparse import MAX_EXP, MAX_INT_DIGITS, W, check_power
+from equibord.sparse import MAX_EXP, MAX_INT_DIGITS, W, check_power, mul_terms
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,16 +56,20 @@ def evaluate(capsys, expr) -> tuple:
                                   "(beta[1]+2)^20000", "(e[(1)]+2)^20000", "(2*beta[1]+1)^20000",
                                   "(beta[1]+beta[2])^20000", "(1+e[(1)])^20000",
                                   "(beta[1]-beta[2])^20000", "(1-e[(1)])^20000",
-                                  "(beta[1]^2-beta[2]^2)^20000", "(beta[1]-beta[2]+beta[0])^20000"])
+                                  "(beta[1]^2-beta[2]^2)^20000", "(beta[1]-beta[2]+beta[0])^20000",
+                                  "(1+beta[1]^2-beta[1]^4)^20000",
+                                  "(1+beta[1]+beta[1]^2+beta[1]^3-beta[1]^5)^9012"])
 def test_integers_over_the_digit_limit_are_refused(capsys, expr):
     err = assert_refused(capsys, "eval", "--group", "Z2", "--truncate", "2", "--expr", expr)
     assert f"over {MAX_INT_DIGITS} digits" in err
 
 
-def test_an_assigned_value_over_the_digit_limit_is_refused(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_assigned_value_over_the_digit_limit_is_refused(capsys, tmp_path, fmt):
     asg = tmp_path / "asg.txt"
     asg.write_text("e[(1)] = 2^20000\n")
-    assert_refused(capsys, "theta-table", "--group", "Z2", "--truncate", "2", "--specialize", str(asg))
+    assert_refused(capsys, "theta-table", "--group", "Z2", "--truncate", "2", "--specialize", str(asg),
+                   "--format", fmt)
 
 
 def test_integers_up_to_the_digit_limit_still_print(capsys, tmp_path):
@@ -102,18 +107,66 @@ def test_the_coefficient_sum_bound_refuses_only_powers_too_long_to_print():
     assert comb(14400, 7200) > 10**MAX_INT_DIGITS
     # (beta[0] - beta[1])^n, (beta[0]^2 - beta[1]^2)^n: the coefficients sum
     # to 0, so only a point with beta[0] at -1, or at i, sees C(n, n // 2);
-    # (beta[0] + beta[1] - beta[2])^n: they sum to 1, and beta[2] at -1 gives
-    # 3.  The points are tried only past the n at which a value of 2 refuses.
-    for terms in ({1: 1, 1 << W: -1}, {2: 1, 2 << W: -1}, {1: 1, 1 << W: 1, 1 << 2 * W: -1}):
+    # the points are tried only past the n at which a value of 2 refuses
+    for terms in ({1: 1, 1 << W: -1}, {2: 1, 2 << W: -1}):
         check_power(terms, 14200)
         for n in (14400, 10**8, 10**4000):
             with pytest.raises(PreconditionError, match=f"power {n} would have over"):
                 check_power(terms, n)
+    # (beta[0] + beta[1] - beta[2])^n: they sum to 1, and beta[2] at -1 gives
+    # 3, but that point is tried only from n = 14,302; the l2 bound refuses
+    # the power from n = 10,075, whose middle coefficient is already too long
+    terms = {1: 1, 1 << W: 1, 1 << 2 * W: -1}
+    check_power(terms, 9000)
+    for n in (10075, 14200, 14400, 10**8, 10**4000):
+        with pytest.raises(PreconditionError, match=f"power {n} would have over"):
+            check_power(terms, n)
+    assert factorial(10075) // (factorial(3358) ** 2 * factorial(3359)) > 10**MAX_INT_DIGITS
     # a constant is refused once its power has more digits than the limit
     check_power({0: 3}, 9012)
     with pytest.raises(PreconditionError):
         check_power({0: 3}, 9100)
     assert 3**9100 > 10**MAX_INT_DIGITS
+
+
+def exact_power(terms: dict, n: int) -> dict:
+    out = {0: 1}
+    while True:
+        if n & 1:
+            out = mul_terms(out, terms)
+        n >>= 1
+        if not n:
+            return out
+        terms = mul_terms(terms, terms)
+
+
+def test_the_l2_bound_refuses_only_powers_over_the_limit(monkeypatch):
+    # at a limit of 120 bits the powers are small enough to take: from the
+    # first n the bounds refuse, each power has a coefficient of over 120
+    # bits, and the l2 bound is the one that refuses those drawn with
+    # unit end coefficients and a coefficient sum of -1, 0 or 1
+    monkeypatch.setattr(sparse, "MAX_INT_BITS", 120)
+    refusals = []
+    real = sparse._l2_refuses
+    monkeypatch.setattr(sparse, "_l2_refuses", lambda *a: refusals.append(real(*a)) or refusals[-1])
+    rng = random.Random(26)
+    bases = [{0: 1, 2 << W: 1, 4 << W: -1}, {0: 1, 1 << W: 1, 2 << W: 1, 3 << W: 1, 5 << W: -1}]
+    while len(bases) < 12:
+        exps = sorted(rng.sample(range(7), rng.randint(3, 5)))
+        coeffs = [rng.choice((-1, 1))] + [rng.choice((-2, -1, 1, 2)) for _ in exps[2:]] + [1]
+        if abs(sum(coeffs)) <= 1:
+            bases.append({k << W: c for k, c in zip(exps, coeffs)})
+    for terms in bases:
+        n = 16
+        while True:
+            refusals.clear()
+            try:
+                check_power(terms, n)
+            except PreconditionError:
+                break
+            n += 1
+        assert refusals == [True] and n < 400
+        assert max(map(abs, exact_power(terms, n).values())).bit_length() > 120
 
 
 # exponents at the field limit ------------------------------------------------------

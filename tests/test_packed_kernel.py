@@ -19,10 +19,10 @@ import pytest
 
 from equibord.coeff import CoeffPoly
 from equibord.errors import MismatchError, PreconditionError
-from equibord.flags import Flag
+from equibord.flags import Flag, ProjClass
 from equibord.groups import format_residues, parse_group
 from equibord.sparse import MAX_EXP, W
-from equibord.symalg import SymPoly, retract
+from equibord.symalg import BExpr, SymPoly, retract
 from equibord.verify import DEFAULT_GROUPS
 
 # the reference kernel ------------------------------------------------------------
@@ -197,13 +197,13 @@ def ref_degrees(a: dict, shift: int) -> tuple:
     return dims, internal
 
 
-def ref_text(a: dict) -> str:
+def ref_text(a: dict, name: str = "beta") -> str:
     parts = []
     for b in sorted(a, key=grlex):
         for m in sorted(a[b].t, key=grlex):
             c = a[b].t[m]
             syms = [f"e[{format_residues(rs)}]" + (f"^{k}" if k > 1 else "") for rs, k in m]
-            syms += [f"beta[{i}]" + (f"^{k}" if k > 1 else "") for i, k in b]
+            syms += [f"{name}[{i}]" + (f"^{k}" if k > 1 else "") for i, k in b]
             body = " * ".join(([str(abs(c))] if abs(c) != 1 or not syms else []) + syms)
             parts.append((c < 0, body))
     if not parts:
@@ -212,16 +212,40 @@ def ref_text(a: dict) -> str:
     return out + "".join((" - " if neg else " + ") + body for neg, body in parts[1:])
 
 
-def ref_json(a: dict) -> list:
+def ref_json(a: dict, name: str = "beta") -> list:
     return [
         {
             "coeff": a[b].t[m],
             "euler": {format_residues(rs): k for rs, k in m},
-            "beta": {str(i): k for i, k in b},
+            name: {str(i): k for i, k in b},
         }
         for b in sorted(a, key=grlex)
         for m in sorted(a[b].t, key=grlex)
     ]
+
+
+def ref_coeff_json(c: Ref) -> list:
+    return [
+        {"coeff": c.t[m], "exponents": {format_residues(rs): k for rs, k in m}}
+        for m in sorted(c.t, key=grlex)
+    ]
+
+
+def ref_quotient(num: dict, denom: dict, family: str) -> tuple:
+    """The text and the JSON form of the BExpr num / denom, denom
+    {residues: power}."""
+    text = ref_text(num, family)
+    dens = [f"{family}theta[{format_residues(rs)}]" + (f"^{k}" if k > 1 else "")
+            for rs, k in sorted(denom.items())]
+    if dens and num:
+        if sum(len(c.t) for c in num.values()) > 1:
+            text = f"({text})"
+        text += " / " + (f"({' * '.join(dens)})" if len(dens) > 1 else dens[0])
+    return text, {
+        "family": family,
+        "numerator": ref_json(num, "generators"),
+        "denominator": [{"alpha": format_residues(rs), "power": k} for rs, k in sorted(denom.items())],
+    }
 
 
 # draws ----------------------------------------------------------------------------
@@ -364,3 +388,43 @@ def test_an_exponent_at_the_limit_works_and_one_past_it_is_refused():
         SymPoly(flag, -2, {((0, MAX_EXP + 1),): 1})
     with pytest.raises(PreconditionError, match="out of range"):
         CoeffPoly(flag.group, {(((1,), MAX_EXP + 1),): 1})
+
+
+# every value class through the renderer -------------------------------------------
+
+
+@pytest.mark.parametrize("spec, length", CONTEXTS + [("Z64", 40)])
+def test_every_value_class_renders_as_the_tuple_reference(spec, length):
+    # zero, constants and draws of CoeffPoly, SymPoly, ProjClass and BExpr;
+    # Z3 at length 1,000 and Z64 at 40 give keys over many fields
+    flag = Flag.cyclic(parse_group(spec), length)
+    group = flag.group
+    rng = random.Random(f"render-{spec}")
+    for a in [CoeffPoly.zero(group), CoeffPoly.const(group, -7)] + [draw_coeff(rng, group) for _ in range(8)]:
+        ra = ref_of_coeff(a)
+        assert str(a) == ref_text({(): ra} if ra else {})
+        assert json.dumps(a.to_json()) == json.dumps(ref_coeff_json(ra))
+    for shift in (-2, 2):
+        for x in [SymPoly.zero(flag, shift), SymPoly.const(flag, shift, 3)]:
+            assert_same(x, ref_of_sym(x))
+    for _ in range(6):
+        coeffs = {i: draw_coeff(rng, group) for i in rng.sample(range(length + 1), min(3, length + 1))}
+        cls = ProjClass(flag, coeffs)
+        assert str(cls) == ref_text({((i, 1),): ref_of_coeff(c) for i, c in coeffs.items()})
+        assert json.dumps(cls.to_json()) == json.dumps(
+            [{"index": i, "coeff": ref_coeff_json(ref_of_coeff(coeffs[i]))} for i in sorted(coeffs)]
+        )
+    inverted = sorted({c for c in flag.chars if not c.is_trivial}, key=lambda c: c.residues)
+    for family in "bc":
+        assert str(BExpr.zero(flag, family)) == "0"
+        assert str(BExpr.const(flag, family, -2)) == "-2"
+        for _ in range(6):
+            indices = sorted({rng.randint(1, length) for _ in range(3)})
+            terms = {tuple((i, k) for i in indices if (k := rng.randrange(3))): draw_coeff(rng, group)
+                     for _ in range(rng.randint(1, 3))}
+            denom = {c: rng.randint(1, 3) for c in rng.sample(inverted, min(len(inverted), rng.randrange(3)))}
+            x = BExpr(flag, family, terms, denom)
+            text, doc = ref_quotient({b: ref_of_coeff(c) for b, c in terms.items()},
+                                     {c.residues: k for c, k in denom.items()}, family)
+            assert str(x) == text
+            assert json.dumps(x.to_json()) == json.dumps(doc)

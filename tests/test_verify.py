@@ -27,7 +27,7 @@ from equibord.verify import (
     check_specialization_collapse,
     complete_flag_count,
     default_config,
-    duality_case_count,
+    duality_sizes,
     load_config,
     run_suite,
 )
@@ -178,19 +178,19 @@ def test_duality_case_count_of_the_ci_configs():
         (("Z8", "Z2xZ4", "Z2xZ2xZ2"), 8, 120_960),
         (("Z3xZ3",), 9, 362_880),
     ):
-        assert duality_case_count(groups, max_flag_len) == cases
+        assert duality_sizes(groups, max_flag_len)[0] == cases
         SweepConfig(groups=groups, max_flag_len=max_flag_len)
-    assert duality_case_count(default_config().groups, 6) == 7_860
+    assert duality_sizes(default_config().groups, 6)[0] == 7_860
 
 
 def test_configs_over_the_budget_are_refused():
     with pytest.raises(PreconditionError, match="would run over 1000000 cases"):
         SweepConfig(groups=("Z4",), max_flag_len=10)  # 1,056,048 cases
-    assert duality_case_count(("Z4",), 9) <= MAX_DUALITY_CASES
+    assert duality_sizes(("Z4",), 9)[0] <= MAX_DUALITY_CASES
     with pytest.raises(PreconditionError, match="max_index 10001 is over the limit of 10000"):
         SweepConfig(max_index=10_001)
     # a group larger than the flags has no complete flag, so no case
-    assert duality_case_count(("Z100000000",), 10_000) == 0
+    assert duality_sizes(("Z100000000",), 10_000)[0] == 0
 
 
 @pytest.mark.parametrize(
