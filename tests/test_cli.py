@@ -366,6 +366,20 @@ def test_specialize_accepts_polynomial_values(capsys, tmp_path):
     assert doc["value"]["specialized_text"] == "e[(3)]^2 + 2"
 
 
+def test_specialize_takes_the_last_value_of_a_repeated_symbol(capsys, tmp_path):
+    # unlike a repeated key of verify --config, which exits 2: assignment
+    # files in use assign a symbol twice, the benchmark's "mixed" file on Z2
+    # among them, and expect exit 0
+    sp = tmp_path / "sp.txt"
+    for text, theta in (
+        ("e[(1)] = e[(1)]^2 + 2\ne[(1)] = 0\n", "beta[0]"),
+        ("e[(1)] = 0\ne[(1)] = e[(1)]^2 + 2\n", "beta[0] + e[(1)]^2 * beta[1] + 2 * beta[1]"),
+    ):
+        sp.write_text(text)
+        rc, out, err = run(capsys, "thetas", "--group", "Z2", "--truncate", "2", "--specialize", str(sp))
+        assert (rc, err, out.splitlines()[-1]) == (0, "", f"theta[(1)] = {theta}")
+
+
 def test_specialize_diagnostics(capsys, tmp_path):
     sp = tmp_path / "sp.txt"
     sp.write_text("e[(0)] = 1\n")

@@ -5,8 +5,9 @@ enumeration, the collapse check's specialize-then-lift, the coaugmentation
 class, the duality route's shared stage values, the augmentation values
 the group remembers, powers, the sweeps' random draws and their bounded
 ints, the generator rewrite, the constructors that skip validation,
-monomial and single-term coefficient products and the retraction, each
-checked against a plain reference written here."""
+monomial and single-term coefficient products and the retraction.  Each
+is checked against the engine's own validated path, or against an
+independent reference from tests/reference.py."""
 
 import hashlib
 import itertools
@@ -32,13 +33,14 @@ from equibord.verify import (
     DEFAULT_GROUPS, _basis_monomials, _complete_flags, _duality_sweep, _mutated_aug,
     _random_dim0_fraction, _specialized_lift,
 )
+import reference
 
 GROUPS = ("1", "Z4", "Z2xZ2", "Z2xZ4")
 
 
-def mono(counts) -> tuple:
-    """The unpacked monomial of {variable: positive exponent} counts."""
-    return tuple(sorted(counts.items()))
+def _residues(flag: Flag) -> tuple:
+    """The flag's characters as residue tuples, the reference's form."""
+    return tuple(c.residues for c in flag.chars)
 
 
 # specialization ---------------------------------------------------------
@@ -75,7 +77,7 @@ def _random_coeff(rng: random.Random, group) -> CoeffPoly:
     terms = {}
     for _ in range(rng.randint(0, 4)):
         size = rng.randint(0, 3) if nontrivial else 0
-        terms[mono(Counter(rng.choice(nontrivial) for _ in range(size)))] = rng.randint(-3, 3)
+        terms[reference.mono(Counter(rng.choice(nontrivial) for _ in range(size)))] = rng.randint(-3, 3)
     return CoeffPoly(group, terms)
 
 
@@ -97,7 +99,7 @@ def _random_values_of_each_class(rng: random.Random, flag: Flag) -> list:
     shift = rng.choice((-2, 2))
     sym = SymPoly(
         flag, shift,
-        {mono(Counter(rng.randint(0, flag.length) for _ in range(rng.randint(0, 3)))):
+        {reference.mono(Counter(rng.randint(0, flag.length) for _ in range(rng.randint(0, 3)))):
          _random_coeff(rng, flag.group) for _ in range(rng.randint(0, 4))},
     )
     denom = Counter(rng.choice(flag.chars) for _ in range(rng.randint(0, 3)))
@@ -180,7 +182,7 @@ def test_character_arithmetic_matches_validated_construction(spec):
     group = parse_group(spec)
     orders = group.cyclic_orders
     chars = group.characters()
-    assert chars == [Character(group, rs) for rs in itertools.product(*map(range, orders))]
+    assert chars == [Character(group, rs) for rs in reference.ranked(orders)]
     assert [hash(c) for c in chars] == [hash(Character(group, c.residues)) for c in chars]
     twin = parse_group(spec)  # an equal group that is a different object
     assert twin == group and twin is not group
@@ -268,7 +270,7 @@ def test_characters_is_a_new_list_of_the_interned_characters():
     first.append(None)
     again = group.characters()
     assert again is not first
-    assert [c.residues for c in again] == list(itertools.product(range(2), range(4)))
+    assert [c.residues for c in again] == reference.ranked((2, 4))
     assert all(c is d for c, d in zip(again, group.characters()))
 
 
@@ -287,13 +289,6 @@ def _multisets(group, rng: random.Random) -> list:
     return out
 
 
-def _counted_euler_class(group, chars) -> CoeffPoly:
-    """Zero with a trivial summand, else one Euler symbol per summand."""
-    if any(c.is_trivial for c in chars):
-        return CoeffPoly.zero(group)
-    return CoeffPoly(group, {mono(Counter(c.residues for c in chars)): 1})
-
-
 @pytest.mark.parametrize("spec", GROUPS)
 def test_representations_and_euler_classes_match_the_counting_definition(spec):
     group = parse_group(spec)
@@ -304,7 +299,7 @@ def test_representations_and_euler_classes_match_the_counting_definition(spec):
             summands = list(rep.summands)
             assert [c.residues for c in summands] == sorted(c.residues for c in summands)
             assert rep.contains_trivial == any(c.is_trivial for c in summands)
-            assert euler_class(rep) == _counted_euler_class(group, summands)
+            assert euler_class(rep).terms == reference.euler_class([c.residues for c in summands])
         assert Counter(Representation(group, chars).summands) == Counter(chars)
 
 
@@ -462,30 +457,23 @@ def test_unchecked_fractions_equal_the_validated_ones(spec):
 # complete flags ---------------------------------------------------------------
 
 
+def _assert_complete_flags_are_the_reference(group, max_len: int):
+    """The complete flags up to max_len are the reference's filter of every
+    tail, length by length, as flags over group."""
+    flags = list(_complete_flags(group, max_len))
+    assert all(f.group is group for f in flags)
+    want = reference.complete_flags(group.cyclic_orders, max_len)
+    assert [_residues(f) for f in flags] == list(want)
+
+
 @pytest.mark.parametrize("spec", GROUPS)
 def test_complete_flags_match_filtering_every_length(spec):
-    group = parse_group(spec)
-    chars = group.characters()
-    want = [
-        Flag(group, (chars[0],) + tail)
-        for length in range(1, 7)
-        for tail in itertools.product(chars, repeat=length - 1)
-        if len({c.residues for c in (chars[0],) + tail}) == group.order
-    ]
-    assert list(_complete_flags(group, 6)) == want
+    _assert_complete_flags_are_the_reference(parse_group(spec), 6)
 
 
 @pytest.mark.parametrize("spec, max_len", [("Z3", 8), ("Z2xZ2", 7), ("Z5", 7)])
 def test_complete_flags_match_filtering_past_the_group_order(spec, max_len):
-    group = parse_group(spec)
-    chars = group.characters()
-    want = [
-        Flag(group, (chars[0],) + tail)
-        for length in range(1, max_len + 1)
-        for tail in itertools.product(chars, repeat=length - 1)
-        if len(set((chars[0],) + tail)) == group.order
-    ]
-    assert list(_complete_flags(group, max_len)) == want
+    _assert_complete_flags_are_the_reference(parse_group(spec), max_len)
 
 
 def test_complete_flags_of_an_order_8_group_at_length_8():
@@ -523,29 +511,33 @@ def test_specialize_then_lift_equals_lift_then_specialize(spec):
 # the coaugmentation class -------------------------------------------------------
 
 
-def _residue_loop_coaug(flag: Flag, alpha: Character) -> ProjClass:
-    """coaug with every stage twisted afresh, through the validated constructors."""
-    j = flag.occurrence(alpha)
-    group = flag.group
-    inv = alpha.inverse().residues
-    orders = group.cyclic_orders
-    coeffs = {0: CoeffPoly.one(group)}
-    running = {}
-    for i in range(1, j):
-        rs = tuple((a + b) % n for a, b, n in zip(inv, flag.chars[i - 1].residues, orders))
-        running[rs] = running.get(rs, 0) + 1
-        coeffs[i] = CoeffPoly(group, {mono(running): 1})
-    return ProjClass(flag, coeffs)
+_unpacked: dict = {}
+
+
+def _terms(c: CoeffPoly) -> dict:
+    """c.terms, unpacked once per object and packed value: coaug's
+    coefficients are shared nodes of the group's table of monomials."""
+    seen = _unpacked.get(id(c))
+    if seen is None or seen[1] != c.packed:
+        seen = _unpacked[id(c)] = (c, dict(c.packed), c.terms)  # c kept, so its id is not reused
+    return seen[2]
+
+
+def _assert_coaug_is_the_reference(got: ProjClass, flag: Flag, alpha: Character):
+    """got is the reference class of alpha over flag, a class over flag
+    whose coefficients are over its group."""
+    want = reference.coaug(flag.group.cyclic_orders, _residues(flag), alpha.residues)
+    assert {i: _terms(c) for i, c in got.coeffs.items()} == want, (flag, alpha)
+    assert got.flag is flag and all(c.group is flag.group for c in got.coeffs.values())
 
 
 def _checked_coaug(seen: list):
-    """coaug that compares its class with the residue loop's, and counts its
+    """coaug that compares its class with the reference, and counts its
     calls in seen."""
 
     def closed(flag, alpha):
         got = coaug(flag, alpha)
-        assert got == _residue_loop_coaug(flag, alpha), (flag, alpha)
-        assert all(c.group is flag.group and all(c.terms.values()) for c in got.coeffs.values())
+        _assert_coaug_is_the_reference(got, flag, alpha)
         seen.append(1)
         return got
 
@@ -568,9 +560,7 @@ def test_coaug_matches_the_residue_loop(spec):
                 with pytest.raises(PreconditionError, match="does not occur"):
                     coaug(flag, alpha)
                 continue
-            got = coaug(flag, alpha)
-            assert got == _residue_loop_coaug(flag, alpha) and got.flag is flag
-            assert all(c.group is group and all(c.terms.values()) for c in got.coeffs.values())
+            _assert_coaug_is_the_reference(coaug(flag, alpha), flag, alpha)
 
 
 def test_coaug_over_a_huge_group_allocates_no_per_character_table():
@@ -584,7 +574,7 @@ def test_coaug_over_a_huge_group_allocates_no_per_character_table():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert got == _residue_loop_coaug(flag, alpha)
+    _assert_coaug_is_the_reference(got, flag, alpha)
     assert [c.terms for c in got.coeffs.values()] == [
         {(): 1}, {(((1,), 1),): 1}, {(((1,), 1), ((12346,), 1)): 1}
     ]
@@ -689,11 +679,9 @@ def test_sharing_holds_over_random_flag_runs(run, augmentation):
 # the augmentation values the group remembers -------------------------------------
 
 
-def _unremembered_aug(flag: Flag, alpha: Character, i: int) -> CoeffPoly:
-    """aug through a fresh representation of the prefix, which nothing remembers."""
-    if i == 0:
-        return CoeffPoly.one(flag.group)
-    return euler_class(Representation(flag.group, flag.chars[:i]).tensor(alpha.inverse()))
+def _reference_aug(flag: Flag, alpha: Character, i: int) -> dict:
+    """The terms of aug(flag, alpha, i) by the reference."""
+    return reference.aug(flag.group.cyclic_orders, _residues(flag)[:i], alpha.residues)
 
 
 @pytest.mark.parametrize("spec", ("Z4", "Z2xZ2"))
@@ -705,8 +693,8 @@ def test_aug_matches_an_unremembered_twist(spec):
     for flag in _complete_flags(group, 6):
         for alpha in alphas:
             for i in range(flag.length + 1):
-                got, want = aug(flag, alpha, i), _unremembered_aug(flag, alpha, i)
-                assert got == want and got.terms == want.terms and got.group is group
+                got = aug(flag, alpha, i)
+                assert got.terms == _reference_aug(flag, alpha, i) and got.group is group
 
 
 @pytest.mark.parametrize("spec", ("Z4", "Z2xZ2"))
@@ -722,7 +710,7 @@ def test_aug_asked_out_of_order_matches_an_unremembered_twist(spec, order):
             if order == "shuffled":
                 rng.shuffle(steps)
             for i in steps:
-                assert aug(flag, alpha, i) == _unremembered_aug(flag, alpha, i)
+                assert aug(flag, alpha, i).terms == _reference_aug(flag, alpha, i)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -766,7 +754,7 @@ def test_an_injected_augmentation_leaves_the_remembered_values_alone(monkeypatch
     for flag in flags:
         for alpha in group.characters():
             for i in range(flag.length + 1):
-                assert aug(flag, alpha, i) == _unremembered_aug(flag, alpha, i)
+                assert aug(flag, alpha, i).terms == _reference_aug(flag, alpha, i)
     # with every value remembered, the mutated route still reads none of
     # them and writes none
     assert all(
@@ -817,7 +805,7 @@ def test_aug_over_a_huge_group_allocates_no_per_character_table():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert got == [_unremembered_aug(flag, alpha, i) for i in range(flag.length + 1)]
+    assert [c.terms for c in got] == [_reference_aug(flag, alpha, i) for i in range(flag.length + 1)]
     assert [c.terms for c in got] == [{(): 1}, {(((1,), 1),): 1}, {(((1,), 1), ((12346,), 1)): 1}, {}]
 
 
@@ -865,7 +853,7 @@ def _arithmetic_random_numerator(rng: random.Random, flag: Flag, shift: int, dim
     while True:
         terms: dict = {}
         for _ in range(rng.randint(1, 3)):
-            m = mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
+            m = reference.mono(Counter(rng.randint(0, flag.length) for _ in range(dim)))
             c = _arithmetic_random_coeff(rng, flag.group)
             zero = CoeffPoly.zero(flag.group)
             terms[m] = terms.get(m, zero) + c
@@ -916,7 +904,7 @@ def test_random_draws_match_the_ring_arithmetic(spec):
     for low in (0, 1):
         for n in range(5):
             want = [
-                SymPoly(flag, -2, {mono(Counter(combo)): 1})
+                SymPoly(flag, -2, {reference.mono(Counter(combo)): 1})
                 for combo in itertools.combinations_with_replacement(range(low, flag.length + 1), n)
             ]
             got = _basis_monomials(flag, -2, low, n)
@@ -928,7 +916,7 @@ def test_random_draws_match_the_ring_arithmetic(spec):
 
 def _validated_rewrite(a: LocFraction) -> BExpr:
     """The generator rewrite through the validated constructor."""
-    terms = {mono({i: k for i, k in m if i}): c for m, c in a.num.terms.items()}
+    terms = {reference.mono({i: k for i, k in m if i}): c for m, c in a.num.terms.items()}
     denom = {al: k for al, k in a.denom.items() if not al.is_trivial}
     return BExpr(a.num.flag, "b" if a.num.shift == -2 else "c", terms, denom)
 
@@ -963,11 +951,6 @@ def test_generator_rewrite_reports_colliding_monomials(monkeypatch):
 # monomial products, single-term coefficient products, the retraction ---------
 
 
-def _merged(m1, m2):
-    """The product monomial by counting every variable."""
-    return mono(Counter(dict(m1)) + Counter(dict(m2)))
-
-
 def _monomials(variables, top: int) -> list:
     """Every monomial in variables with exponents up to top, the unit included."""
     return [
@@ -994,7 +977,7 @@ def test_monomial_products_match_counting(variables):
     ms = _monomials(variables, 2)
     for m1 in ms:
         for m2 in ms:
-            assert mono_mul(m1, m2) == _merged(m1, m2)
+            assert mono_mul(m1, m2) == reference.mono_mul(m1, m2)
     a, b, c, d = variables
     cases = {
         "disjoint, first before second": (((a, 2),), ((b, 1), (c, 3))),
@@ -1006,7 +989,7 @@ def test_monomial_products_match_counting(variables):
         "both empty": ((), ()),
     }
     for m1, m2 in cases.values():
-        assert mono_mul(m1, m2) == _merged(m1, m2) == mono_mul(m2, m1)
+        assert mono_mul(m1, m2) == reference.mono_mul(m1, m2) == mono_mul(m2, m1)
 
 
 def _coeff_polys(group) -> list:
@@ -1035,17 +1018,6 @@ def test_coefficient_products_match_the_kernel(spec):
         CoeffPoly.one(group) * CoeffPoly.one(parse_group("Z5"))
 
 
-def _retracted_by_division(x: SymPoly) -> dict:
-    """Drop one beta_0 per monomial by dividing the unpacked monomials."""
-    acc = {}
-    for m, c in x.terms.items():
-        counts = Counter(dict(m))
-        if counts[0]:
-            counts[0] -= 1
-            acc[mono(+counts)] = c
-    return acc
-
-
 def test_retraction_matches_monomial_division():
     z3 = parse_group("Z3")
     flag = Flag.cyclic(z3, 3)
@@ -1061,7 +1033,10 @@ def test_retraction_matches_monomial_division():
     for x in named:
         got = retract(x)
         assert got.flag is flag and got.shift == -2
-        assert got.terms == _retracted_by_division(x)
+        # one beta_0 divided out of each monomial that has one; the others go
+        assert got.terms == {
+            q: c for m, c in x.terms.items() if (q := reference.mono_div(m, ((0, 1),))) is not None
+        }
     with pytest.raises(PreconditionError, match="mixed dimension degrees"):
         retract(SymPoly(flag, -2, {((0, 1),): 1, ((0, 1), (1, 1)): 1}))
     with pytest.raises(PreconditionError, match="trivial character only"):

@@ -2,10 +2,10 @@
 huge group from being listed.
 
 render.grlex, and the order in which render.walk gives the terms of a
-value, are checked against the dense graded-lex key grlex replaced, kept
-here as the reference.  AbelianGroup.unrank, Flag.cyclic and the
-missing-character search of presentation are checked against enumerating
-the whole group.  Commands on a huge group with a short flag run in time
+value, are checked against the dense graded-lex key grlex replaced.
+AbelianGroup.unrank, Flag.cyclic and the missing-character search of
+presentation are checked against enumerating the whole group.  Both
+references are in tests/reference.py.  Commands on a huge group with a short flag run in time
 proportional to the flag; theta-table, verify and every integer in the
 input have documented limits, refused with one error line; and output
 bytes do not depend on the hash seed.
@@ -32,30 +32,9 @@ from equibord.render import beta_part, grlex, walk
 from equibord.sparse import W
 from equibord.symalg import presentation
 from equibord.verify import DEFAULT_GROUPS, MAX_COLLAPSE_PAIRS, SweepConfig
+from reference import dense_grlex_key, mono, ranked
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def dense_grlex_key(slots):
-    """The graded-lex key the engine used before sparse.grlex: total degree,
-    then the exponent vector with variable v in position slots[v], sorted in
-    descending order."""
-    width = len(slots)
-
-    def key(m):
-        vec = [0] * width
-        total = 0
-        for v, k in m:
-            vec[slots[v]] = k
-            total += k
-        return (total, tuple(vec))
-
-    return key
-
-
-def mono(counts) -> tuple:
-    """The unpacked monomial of {variable: positive exponent} counts."""
-    return tuple(sorted(counts.items()))
 
 
 def shapes(limit: int) -> list:
@@ -70,11 +49,6 @@ def shapes(limit: int) -> list:
 
     extend((), 1)
     return out
-
-
-def ranked(orders) -> list:
-    """The residue tuples of a group in rank order, by enumeration."""
-    return list(itertools.product(*(range(n) for n in orders)))
 
 
 def monomials(rng: random.Random, variables: list) -> set:

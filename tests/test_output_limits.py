@@ -25,7 +25,8 @@ import pytest
 
 from equibord import cli, sparse
 from equibord.errors import PreconditionError
-from equibord.sparse import MAX_EXP, MAX_INT_DIGITS, W, check_power, mul_terms
+from equibord.sparse import MAX_EXP, MAX_INT_DIGITS, W, check_power
+from reference import power
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -129,17 +130,6 @@ def test_the_coefficient_sum_bound_refuses_only_powers_too_long_to_print():
     assert 3**9100 > 10**MAX_INT_DIGITS
 
 
-def exact_power(terms: dict, n: int) -> dict:
-    out = {0: 1}
-    while True:
-        if n & 1:
-            out = mul_terms(out, terms)
-        n >>= 1
-        if not n:
-            return out
-        terms = mul_terms(terms, terms)
-
-
 def test_the_l2_bound_refuses_only_powers_over_the_limit(monkeypatch):
     # at a limit of 120 bits the powers are small enough to take: from the
     # first n the bounds refuse, each power has a coefficient of over 120
@@ -166,7 +156,7 @@ def test_the_l2_bound_refuses_only_powers_over_the_limit(monkeypatch):
                 break
             n += 1
         assert refusals == [True] and n < 400
-        assert max(map(abs, exact_power(terms, n).values())).bit_length() > 120
+        assert max(map(abs, power(terms, n, {0: 1}).values())).bit_length() > 120
 
 
 # exponents at the field limit ------------------------------------------------------

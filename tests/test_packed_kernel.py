@@ -3,9 +3,9 @@
 Before the monomials were packed into ints, a monomial was a sorted tuple
 of (variable, exponent) pairs, a SymPoly held {beta monomial: CoeffPoly}
 and a CoeffPoly {Euler monomial: int}, and exact division took its leading
-terms in graded-lex order.  That kernel is kept here as the reference:
-mono_mul, mul_terms, divexact_terms and grlex as they were, on nested
-dicts.  Seeded draws of CoeffPolys and SymPolys are put through both, and
+terms in graded-lex order.  That kernel is the reference, in
+tests/reference.py: mono_mul, mul_terms, divexact_terms and the dense
+graded-lex key, on nested dicts.  Seeded draws of CoeffPolys and SymPolys are put through both, and
 every result of +, *, ^, ==, divexact, specialize, retract, both degrees
 and both renderings must be the same, on the default groups, on a huge
 group with a short flag, on a flag of length 1,000 and on operands from
@@ -24,104 +24,7 @@ from equibord.groups import format_residues, parse_group
 from equibord.sparse import MAX_EXP, W
 from equibord.symalg import BExpr, SymPoly, retract
 from equibord.verify import DEFAULT_GROUPS
-
-# the reference kernel ------------------------------------------------------------
-
-
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    acc = dict(m1)
-    for v, k in m2:
-        acc[v] = acc.get(v, 0) + k
-    return tuple(sorted(acc.items()))
-
-
-def mono_div(m: tuple, d: tuple):
-    acc = dict(m)
-    for v, k in d:
-        have = acc.get(v, 0)
-        if have < k:
-            return None
-        if have == k:
-            del acc[v]
-        else:
-            acc[v] = have - k
-    return tuple(sorted(acc.items()))
-
-
-def grlex(m: tuple) -> list:
-    key = [-sum(k for _, k in m)]
-    key += [(v, -k) for v, k in m]
-    return key
-
-
-def add_terms(t1: dict, t2: dict) -> dict:
-    acc = dict(t1)
-    for m, c in t2.items():
-        acc[m] = acc[m] + c if m in acc else c
-    return {m: c for m, c in acc.items() if c}
-
-
-def mul_terms(t1: dict, t2: dict) -> dict:
-    acc: dict = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = mono_mul(m1, m2)
-            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-    return {m: c for m, c in acc.items() if c}
-
-
-def divexact_terms(num: dict, den: dict, coeff_div, zero):
-    lt_m = min(den, key=grlex)
-    lt_c = den[lt_m]
-    rem = dict(num)
-    quot: dict = {}
-    while rem:
-        m = min(rem, key=grlex)
-        qm = mono_div(m, lt_m)
-        if qm is None:
-            return None
-        qc = coeff_div(rem[m], lt_c)
-        if qc is None:
-            return None
-        quot[qm] = qc
-        for m2, c2 in den.items():
-            mm = mono_mul(qm, m2)
-            nc = rem.get(mm, zero) - qc * c2
-            if nc:
-                rem[mm] = nc
-            else:
-                rem.pop(mm, None)
-    return quot
-
-
-class Ref:
-    """A reference coefficient: {Euler monomial: int} with the ring operators."""
-
-    def __init__(self, terms: dict):
-        self.t = {m: c for m, c in terms.items() if c}
-
-    def __add__(self, o):
-        return Ref(add_terms(self.t, o.t))
-
-    def __neg__(self):
-        return Ref({m: -c for m, c in self.t.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        return Ref(mul_terms(self.t, o.t))
-
-    def __bool__(self):
-        return bool(self.t)
-
-    def __eq__(self, o):
-        return self.t == o.t
-
-    def divexact(self, o):
-        q = divexact_terms(self.t, o.t, lambda a, b: None if a % b else a // b, 0)
-        return None if q is None else Ref(q)
-
+from reference import Ref, add_terms, divexact_terms, grlex_sorted, mono_div, mul_terms, power
 
 # values in both forms -------------------------------------------------------------
 
@@ -136,29 +39,6 @@ def ref_of_sym(x: SymPoly) -> dict:
 
 def sym_of_ref(flag: Flag, shift: int, ref: dict) -> SymPoly:
     return SymPoly(flag, shift, {b: CoeffPoly(flag.group, c.t) for b, c in ref.items()})
-
-
-def ref_add(a: dict, b: dict) -> dict:
-    acc = dict(a)
-    for m, c in b.items():
-        acc[m] = acc[m] + c if m in acc else c
-    return {m: c for m, c in acc.items() if c}
-
-
-def ref_mul(a: dict, b: dict) -> dict:
-    acc: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-    return {m: c for m, c in acc.items() if c}
-
-
-def ref_pow(a: dict, n: int) -> dict:
-    out = {(): Ref({(): 1})}
-    for _ in range(n):
-        out = ref_mul(out, a)
-    return out
 
 
 def ref_specialize(a: dict, values: dict) -> dict:
@@ -178,15 +58,6 @@ def ref_specialize(a: dict, values: dict) -> dict:
     return out
 
 
-def ref_retract(a: dict) -> dict:
-    out = {}
-    for b, c in a.items():
-        q = mono_div(b, ((0, 1),))
-        if q is not None:
-            out[q] = c
-    return out
-
-
 def ref_degrees(a: dict, shift: int) -> tuple:
     dims = {sum(k for _, k in b) for b in a}
     internal = {
@@ -199,8 +70,8 @@ def ref_degrees(a: dict, shift: int) -> tuple:
 
 def ref_text(a: dict, name: str = "beta") -> str:
     parts = []
-    for b in sorted(a, key=grlex):
-        for m in sorted(a[b].t, key=grlex):
+    for b in grlex_sorted(a):
+        for m in grlex_sorted(a[b].t):
             c = a[b].t[m]
             syms = [f"e[{format_residues(rs)}]" + (f"^{k}" if k > 1 else "") for rs, k in m]
             syms += [f"{name}[{i}]" + (f"^{k}" if k > 1 else "") for i, k in b]
@@ -219,15 +90,15 @@ def ref_json(a: dict, name: str = "beta") -> list:
             "euler": {format_residues(rs): k for rs, k in m},
             name: {str(i): k for i, k in b},
         }
-        for b in sorted(a, key=grlex)
-        for m in sorted(a[b].t, key=grlex)
+        for b in grlex_sorted(a)
+        for m in grlex_sorted(a[b].t)
     ]
 
 
 def ref_coeff_json(c: Ref) -> list:
     return [
         {"coeff": c.t[m], "exponents": {format_residues(rs): k for rs, k in m}}
-        for m in sorted(c.t, key=grlex)
+        for m in grlex_sorted(c.t)
     ]
 
 
@@ -303,11 +174,11 @@ def test_sympoly_operations_equal_the_tuple_kernel(spec, flag, other):
         x, y = draw_sym(rng, flag, shift), draw_sym(rng, other, shift)
         rx, ry = ref_of_sym(x), ref_of_sym(y)
         assert_same(x, rx)
-        assert_same(x + y, ref_add(rx, ry))
-        assert_same(x - y, ref_add(rx, {b: -c for b, c in ry.items()}))
-        assert_same(x * y, ref_mul(rx, ry))
-        assert_same(y * x, ref_mul(rx, ry))
-        assert_same(x**3, ref_pow(rx, 3))
+        assert_same(x + y, add_terms(rx, ry))
+        assert_same(x - y, add_terms(rx, {b: -c for b, c in ry.items()}))
+        assert_same(x * y, mul_terms(rx, ry))
+        assert_same(y * x, mul_terms(rx, ry))
+        assert_same(x**3, power(rx, 3, {(): Ref({(): 1})}))
         assert (x == y) == (rx == ry) and x == sym_of_ref(other, shift, rx)
         assert (x * y - y * x).is_zero and x * y == y * x
         # exact division: of a product, and of what the reference cannot divide
@@ -324,7 +195,8 @@ def test_sympoly_operations_equal_the_tuple_kernel(spec, flag, other):
         dims, internal = ref_degrees(rx, shift)
         if len(dims) == 1:
             assert x.dimension_degree() == dims.pop()
-            assert_same(retract(x), ref_retract(rx))
+            retracted = {q: c for b, c in rx.items() if (q := mono_div(b, ((0, 1),))) is not None}
+            assert_same(retract(x), retracted)
         else:
             with pytest.raises(PreconditionError, match="mixed dimension"):
                 x.dimension_degree()

@@ -1,17 +1,23 @@
-"""Every imported name in the package and its tests is used, and every
-private helper of the package is called from somewhere in it.
+"""Every imported name in the package and its tests is used, every
+private helper of the package is called from somewhere in it, and the
+tests' reference module stays independent of the package and has no dead
+reference.
 
-Two stdlib ast scans.  A name bound by an import statement counts as used
+Stdlib ast scans.  A name bound by an import statement counts as used
 when it is loaded anywhere in the same module.  The package __init__
 re-exports its imports, and "from __future__" imports bind nothing, so both
 are skipped.  A private (_name) function, method or class counts as used
 when its name is loaded, or read as an attribute, somewhere in the package
 outside its own definition; the match is by name alone, so a helper that
-shares its name with a used one goes unnoticed.
+shares its name with a used one goes unnoticed.  tests/reference.py may
+import the stdlib only, and each of its top-level functions and classes
+must be imported from it, or read as an attribute of it, in some test
+module.
 """
 
 import ast
 import pathlib
+import sys
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -65,3 +71,19 @@ def test_no_unreferenced_private_helpers():
         and everywhere[node.name] == _references(node)[node.name]
     ]
     assert not dead, "private helpers nothing references:\n" + "\n".join(dead)
+
+
+def test_the_reference_module_imports_only_the_stdlib_and_every_reference_is_used():
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {"." * n.level + (n.module or "") for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert {m.split(".")[0] for m in imported} <= sys.stdlib_module_names, imported
+    used = set()
+    for test in (ROOT / "tests").glob("test_*.py"):
+        for n in ast.walk(ast.parse(test.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ImportFrom) and n.module == "reference" and not n.level:
+                used |= {a.name for a in n.names}
+            elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "reference":
+                used.add(n.attr)
+    defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined and not defined - used, f"references no test module uses: {sorted(defined - used)}"

@@ -31,6 +31,7 @@ from equibord.verify import (
     load_config,
     run_suite,
 )
+import reference
 
 SMALL = SweepConfig(
     groups=("1", "Z2", "Z4", "Z2xZ2"),
@@ -235,7 +236,7 @@ def test_case_counts_of_verify_seeds_1_to_4_match_the_bench_record():
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "verify_counts.json"
     recorded = json.loads(path.read_text())
     for seed in range(1, 5):
-        report = run_suite(SweepConfig(rng_seed=seed))
+        report = _one_cpu_report(SweepConfig(rng_seed=seed))
         assert report.status == "pass"
         assert {c.check: c.cases for c in report.checks} == recorded[str(seed)]
 
@@ -402,40 +403,16 @@ def test_failing_report_matches_schema(monkeypatch, tmp_path, capsys):
 # the complete-flag walk and the remaining budgets ----------------------------
 
 
-def _recursive_complete_flags(group, max_len: int) -> list:
-    """The complete flags by the recursive walk: one call per flag entry."""
-    chars = group.characters()
-    order = len(chars)
-    prefix = [chars[0]]
-    uses = [1] + [0] * (order - 1)
-    out = []
-
-    def extend(left: int, missing: int):
-        if not left:
-            out.append(tuple(prefix))
-            return
-        for i, c in enumerate(chars):
-            lacking = missing - (not uses[i])
-            if lacking >= left:
-                continue
-            uses[i] += 1
-            prefix.append(c)
-            extend(left - 1, lacking)
-            prefix.pop()
-            uses[i] -= 1
-
-    for length in range(order, max_len + 1):
-        extend(length - 1, order - 1)
-    return out
-
-
 @pytest.mark.parametrize("gspec", ["1", "Z2", "Z3", "Z4", "Z2xZ2"])
 def test_complete_flags_come_in_the_order_of_the_recursive_walk(gspec):
+    # the order the recursive walk gave: by length, then by the ranks of the
+    # characters, as the reference's filter of every tail gives it
     group = verify.parse_group(gspec)
     for max_len in range(1, 8):
         flags = _complete_flags(group, max_len)
         assert not isinstance(flags, list)  # a generator, as tests patch it
-        assert [f.chars for f in flags] == _recursive_complete_flags(group, max_len)
+        want = reference.complete_flags(group.cyclic_orders, max_len)
+        assert [tuple(c.residues for c in f.chars) for f in flags] == list(want)
 
 
 def test_the_trivial_group_sweeps_flags_of_length_1000():
@@ -547,6 +524,17 @@ def _cpus(monkeypatch, n: int) -> list:
     return forked
 
 
+@functools.cache
+def _one_cpu_report(cfg: SweepConfig):
+    """run_suite(cfg) with one CPU usable, so in this process alone; run once
+    per config for the whole session."""
+    with pytest.MonkeyPatch.context() as mp:
+        forked = _cpus(mp, 1)
+        report = run_suite(cfg)
+    assert forked == []
+    return report
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -555,9 +543,7 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("cfg", [SMALL, *(SweepConfig(rng_seed=s) for s in range(1, 5))],
                          ids=["small", *(f"seed{s}" for s in range(1, 5))])
 def test_the_queue_reports_what_one_process_reports(monkeypatch, cfg):
-    forked = _cpus(monkeypatch, 1)
-    serial = run_suite(cfg)
-    assert forked == []
+    serial = _one_cpu_report(cfg)
     forked = _cpus(monkeypatch, 3)
     parallel = run_suite(cfg)
     assert len(forked) == 2

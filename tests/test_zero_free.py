@@ -1,15 +1,14 @@
 """The zero-free kernel results and the coaugmentation class's table of
-Euler monomials, each checked against a plain reference written here.
+Euler monomials, each checked against its reference in tests/reference.py.
 
 add_terms and mul_terms drop a monomial whose coefficient cancels, so the
 classes wrap their results without filtering them again; the references
 are the kernel that kept zeros, filtered afterwards, on packed monomials
 and on the unpacked monomials that the classes' terms show.  coaug reads its
 coefficients from a per-group table of Euler monomials; the reference
-counts the twists of each stage afresh."""
+counts the twists of each stage from the definition."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -20,37 +19,7 @@ from equibord.groups import parse_group
 from equibord.sparse import W, add_terms, mul_terms
 from equibord.symalg import SymPoly, _specialized
 from equibord.verify import SweepConfig, _complete_flags, _duality_sweep, check_coaug_duality
-
-
-def _kept_add(t1: dict, t2: dict) -> dict:
-    """The sum with zeros kept, then filtered."""
-    acc = dict(t1)
-    for m, c in t2.items():
-        acc[m] = acc[m] + c if m in acc else c
-    return {m: c for m, c in acc.items() if c}
-
-
-def mono(counts) -> tuple:
-    """The unpacked monomial of {variable: positive exponent} counts."""
-    return tuple(sorted(counts.items()))
-
-
-def _mono_mul(m1, m2):
-    """The product of two packed monomials, or of two unpacked ones by
-    counting every variable."""
-    if isinstance(m1, int):
-        return m1 + m2
-    return mono(Counter(dict(m1)) + Counter(dict(m2)))
-
-
-def _kept_mul(t1: dict, t2: dict) -> dict:
-    """The product with zeros kept, then filtered."""
-    acc: dict = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = _mono_mul(m1, m2)
-            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-    return {m: c for m, c in acc.items() if c}
+import reference
 
 
 def _zero_free(terms: dict) -> bool:
@@ -73,8 +42,8 @@ INT_CASES = [
 @pytest.mark.parametrize("t1, t2, total, product", INT_CASES)
 def test_int_kernel_results_are_zero_free(t1, t2, total, product):
     got_sum, got_product = add_terms(t1, t2), mul_terms(t1, t2)
-    assert got_sum == _kept_add(t1, t2) == total
-    assert got_product == _kept_mul(t1, t2)
+    assert got_sum == reference.add_terms(t1, t2) == total
+    assert got_product == reference.mul_terms(t1, t2)
     if product is not None:
         assert got_product == product
     assert _zero_free(got_sum) and _zero_free(got_product)
@@ -102,7 +71,8 @@ def test_seeded_int_kernel_results_equal_the_filtered_ones():
     for _ in range(400):
         t1 = _random_ints(rng, 2, rng.randrange(1, 6))
         t2 = _random_ints(rng, 2, rng.randrange(1, 6))
-        for got, want in ((add_terms(t1, t2), _kept_add(t1, t2)), (mul_terms(t1, t2), _kept_mul(t1, t2))):
+        for got, want in ((add_terms(t1, t2), reference.add_terms(t1, t2)),
+                          (mul_terms(t1, t2), reference.mul_terms(t1, t2))):
             assert got == want and _zero_free(got)
         cancelled += len(t1.keys() | t2.keys()) > len(add_terms(t1, t2))
     assert cancelled > 50  # the draws do cancel
@@ -116,9 +86,10 @@ def test_coefficient_poly_results_are_zero_free():
     z3 = parse_group("Z3")
     a, b = _euler(z3, 1), _euler(z3, 2)
     for x, y in ((a + b, a - b), (a * b + 2, a * b - 2), (a - 1, a + 1), (a, -a)):
-        for got, want in ((x + y, _kept_add(x.terms, y.terms)), (x * y, _kept_mul(x.terms, y.terms))):
+        for got, want in ((x + y, reference.add_terms(x.terms, y.terms)),
+                          (x * y, reference.mul_terms(x.terms, y.terms))):
             assert got.terms == want and _zero_free(got.terms)
-        assert (x * y).packed == _kept_mul(x.packed, y.packed)
+        assert (x * y).packed == reference.mul_terms(x.packed, y.packed)
     assert (a + b) * (a - b) == a * a - b * b and (a * a - b * b).terms == {
         (((1,), 2),): 1, (((2,), 2),): -1
     }
@@ -140,7 +111,7 @@ def test_sympoly_results_with_cancelling_coefficients_equal_the_filtered_ones(sp
     def draw():
         terms = {}
         for _ in range(rng.randrange(1, 4)):
-            m = mono({i: 1 for i in range(flag.length + 1) if rng.random() < 0.4})
+            m = reference.mono({i: 1 for i in range(flag.length + 1) if rng.random() < 0.4})
             c = rng.choice(pieces) * rng.choice((1, -1))
             terms[m] = terms[m] + c if m in terms else c
         return SymPoly(flag, -2, terms)
@@ -149,11 +120,12 @@ def test_sympoly_results_with_cancelling_coefficients_equal_the_filtered_ones(sp
     for _ in range(150):
         x, y = draw(), draw()
         for got, want in (
-            (x + y, _kept_add(x.terms, y.terms)),
+            (x + y, reference.add_terms(x.terms, y.terms)),
             (x - x, {}),
-            (x * y, _kept_mul(x.terms, y.terms)),
-            (x * (-x), _kept_mul(x.terms, (-x).terms)),
-            ((x + y) * (x - y), _kept_mul(_kept_add(x.terms, y.terms), _kept_add(x.terms, (-y).terms))),
+            (x * y, reference.mul_terms(x.terms, y.terms)),
+            (x * (-x), reference.mul_terms(x.terms, (-x).terms)),
+            ((x + y) * (x - y), reference.mul_terms(reference.add_terms(x.terms, y.terms),
+                                                    reference.add_terms(x.terms, (-y).terms))),
         ):
             assert got.terms == want and _zero_free(got.terms)
             assert all(_zero_free(c.terms) for c in got.terms.values())
@@ -190,20 +162,6 @@ def test_random_numerators_are_zero_free_where_draws_cancel():
 # the table of Euler monomials -----------------------------------------------------
 
 
-def _reference_coaug(flag: Flag, alpha) -> ProjClass:
-    """The coaugmentation class with each stage's twists counted afresh."""
-    group = flag.group
-    inv = alpha.inverse().residues
-    coeffs = {0: CoeffPoly(group, {(): 1})}
-    running: dict = {}
-    for i in range(1, flag.first_index(alpha)):
-        chi = flag.chars[i - 1].residues
-        rs = tuple((a + b) % n for a, b, n in zip(inv, chi, group.cyclic_orders))
-        running[rs] = running.get(rs, 0) + 1
-        coeffs[i] = CoeffPoly(group, {mono(running): 1})
-    return ProjClass(flag, coeffs)
-
-
 def _flags(group) -> list:
     if group.order <= 6:
         return list(_complete_flags(group, 6))
@@ -217,11 +175,10 @@ def _check_against_reference(group) -> set:
     for flag in _flags(group):
         for alpha in group.characters():
             got = coaug(flag, alpha)
-            want = _reference_coaug(flag, alpha)
-            assert got == want and got.flag is flag, (str(flag), str(alpha))
-            assert {i: c.terms for i, c in got.coeffs.items()} == {
-                i: c.terms for i, c in want.coeffs.items()
-            }
+            chars = tuple(c.residues for c in flag.chars)
+            want = reference.coaug(group.cyclic_orders, chars, alpha.residues)
+            assert {i: c.terms for i, c in got.coeffs.items()} == want, (str(flag), str(alpha))
+            assert got.flag is flag
             assert all(c.group is group for c in got.coeffs.values())
             reached |= {m for c in got.coeffs.values() for m in c.terms}
     return reached
