@@ -98,8 +98,11 @@ def beta_part(name: str, text: bool = True):
 
 def inverted(denom: dict, name: str | None = None) -> list:
     """The inverted classes {Character: power} by residues: as factor
-    strings name[(r,...)]^k, or with no name as JSON objects."""
+    strings name[(r,...)]^k, or with no name as JSON objects.  A power too
+    long to print is refused here, as a coefficient is in signed_product."""
     pairs = sorted(denom.items(), key=lambda p: p[0].residues)
+    for _, k in pairs:
+        check_int(k)
     if name is None:
         return [{"alpha": str(al), "power": k} for al, k in pairs]
     return [format_power(f"{name}[{al}]", k) for al, k in pairs]

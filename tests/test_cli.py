@@ -251,6 +251,50 @@ def test_eval_exit_codes(capsys):
     assert "nest" in err
 
 
+_MIXED = "cannot mix flag-side symbols (beta/theta) with generator-side symbols (b/c) in one expression"
+
+
+# a divisor's own atoms are checked in the order they are written, on one side
+DIVISOR_OUTCOMES = [
+    ("1/(theta[(1)]*btheta[(1)])", 2, f"error: {_MIXED}\n"),
+    ("beta[1]/(btheta[(1)]*theta[(1)])", 2, f"error: {_MIXED}\n"),
+    ("1/(btheta[(1)]*ctheta[(1)])", 3,
+     "error: c-generators live in the shift 2 ring, but this context has shift -2 "
+     "(pick the other --shift or --theory)\n"),
+    ("1/theta[(1)]^0", 2, "error: the right operand of / must be a product of inverted classes "
+     "(theta[...] or btheta[...]/ctheta[...])\n"),
+    ("1/-theta[(1)]", 2, "error: unexpected '-' at position 2 in '1/-theta[(1)]'\n"),
+    ("1/(theta[(1)]^2*theta[(0)])^3", 0, "kind: fraction\nvalue: 1 / (theta[(0)]^3 * theta[(1)]^6)\n"),
+    ("1/btheta[(0)]", 0, "kind: generators\nvalue: 1\n"),
+]
+
+
+@pytest.mark.parametrize("expr, rc, stream", DIVISOR_OUTCOMES, ids=[c[0] for c in DIVISOR_OUTCOMES])
+def test_divisor_outcomes(capsys, expr, rc, stream):
+    got = run(capsys, "eval", "--group", "Z2", "--truncate", "2", "--theory", "MUP", "--expr", expr)
+    assert got == ((rc, stream, "") if rc == 0 else (rc, "", stream))
+
+
+# the whole expression is read before any arithmetic, so a syntax fault exits
+# 2 whatever comes before it, and a divisor is read as its inverted classes,
+# never expanded
+READ_WHOLE = [
+    ("Z2", "2", "1/theta[(1)]^3000", 0, "kind: fraction\nvalue: 1 / theta[(1)]^3000\n"),
+    ("Z2", "2", "1/theta[(1)]^20000", 0, "kind: fraction\nvalue: 1 / theta[(1)]^20000\n"),
+    ("Z2xZ2", "4", "theta[(1,1)]^40 )", 2, "error: unexpected ')' at position 16 in 'theta[(1,1)]^40 )'\n"),
+    ("Z4", "2", "theta[(3)] )", 2, "error: unexpected ')' at position 11 in 'theta[(3)] )'\n"),
+]
+
+
+@pytest.mark.parametrize("group, truncate, expr, rc, stream", READ_WHOLE, ids=[c[2] for c in READ_WHOLE])
+def test_an_expression_is_read_whole_before_any_arithmetic(capsys, group, truncate, expr, rc, stream):
+    t0 = time.perf_counter()
+    got = run(capsys, "eval", "--group", group, "--truncate", truncate, "--expr", expr)
+    took = time.perf_counter() - t0
+    assert got == ((rc, stream, "") if rc == 0 else (rc, "", stream))
+    assert took < 0.05, f"{expr} took {took:.3f} s"
+
+
 @pytest.mark.parametrize("argv, expr", [
     (("eval", "--group", "Z2", "--truncate", "2"), "-beta[1]"),
     (("eval", "--group", "Z2", "--truncate", "2", "--format", "json"), "-beta[1] == -1 * beta[1]"),

@@ -458,12 +458,16 @@ def test_unchecked_fractions_equal_the_validated_ones(spec):
 
 
 def _assert_complete_flags_are_the_reference(group, max_len: int):
-    """The complete flags up to max_len are the reference's filter of every
-    tail, length by length, as flags over group."""
-    flags = list(_complete_flags(group, max_len))
-    assert all(f.group is group for f in flags)
-    want = reference.complete_flags(group.cyclic_orders, max_len)
-    assert [_residues(f) for f in flags] == list(want)
+    """For each bound k up to max_len, the complete flags up to length k are
+    the reference's filter of every tail, length by length, as flags over
+    group: by length, then by the ranks of the characters."""
+    for k in range(1, max_len + 1):
+        flags = _complete_flags(group, k)
+        assert not isinstance(flags, list)  # a generator, as tests patch it
+        flags = list(flags)
+        assert all(f.group is group for f in flags)
+        want = reference.complete_flags(group.cyclic_orders, k)
+        assert [_residues(f) for f in flags] == list(want)
 
 
 @pytest.mark.parametrize("spec", GROUPS)
@@ -471,7 +475,8 @@ def test_complete_flags_match_filtering_every_length(spec):
     _assert_complete_flags_are_the_reference(parse_group(spec), 6)
 
 
-@pytest.mark.parametrize("spec, max_len", [("Z3", 8), ("Z2xZ2", 7), ("Z5", 7)])
+@pytest.mark.parametrize("spec, max_len", [("Z3", 8), ("Z2xZ2", 7), ("Z5", 7), ("1", 7), ("Z2", 7),
+                                           ("Z4", 7)])
 def test_complete_flags_match_filtering_past_the_group_order(spec, max_len):
     _assert_complete_flags_are_the_reference(parse_group(spec), max_len)
 

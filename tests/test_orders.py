@@ -139,8 +139,9 @@ def test_unrank_matches_place_values_on_every_shape_up_to_order_1000():
     for orders in shapes(1000):
         group = AbelianGroup(orders)
         n = group.order
+        places = [prod(orders[j + 1:]) for j in range(len(orders))]  # once per shape
         for i in {0, 1, orders[-1] if orders else 0, n // 2, n - 1, rng.randrange(n)}:
-            want = tuple(i // prod(orders[j + 1:]) % m for j, m in enumerate(orders))
+            want = tuple(i // p % m for p, m in zip(places, orders))
             assert group.unrank(i % n).residues == want
 
 

@@ -87,6 +87,20 @@ def test_integers_up_to_the_digit_limit_still_print(capsys, tmp_path):
     assert rc == 3 and err.startswith("error: ") and out == ""
 
 
+@pytest.mark.parametrize("argv, inverted", [((), "theta"), (("--format", "json"), "theta"),
+                                            (("--theory", "MU"), "btheta")],
+                         ids=["text", "json", "generators"])
+def test_an_inverted_class_exponent_too_long_to_print_is_refused(capsys, argv, inverted):
+    n = "9" * 4000
+    rc, out, _, _ = run(capsys, "eval", "--group", "Z2", "--truncate", "2", *argv, "--expr",
+                        f"(1/{inverted}[(1)])^{n}")
+    assert rc == 0 and f"{inverted}[(1)]^{n}" in out
+    # the denominator's exponent, n * n, has 8,000 digits
+    err = assert_refused(capsys, "eval", "--group", "Z2", "--truncate", "2", *argv, "--expr",
+                         f"((1/{inverted}[(1)])^{n})^{n}", budget=1.0)
+    assert err == f"error: an integer in the result has over {MAX_INT_DIGITS} digits\n"
+
+
 def test_a_power_whose_coefficients_sum_to_zero_still_prints_below_the_limit(capsys):
     # the same text as the product of 100 factors, which takes no power
     power = evaluate(capsys, "(beta[1]-beta[2])^100")

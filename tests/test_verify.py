@@ -31,7 +31,6 @@ from equibord.verify import (
     load_config,
     run_suite,
 )
-import reference
 
 SMALL = SweepConfig(
     groups=("1", "Z2", "Z4", "Z2xZ2"),
@@ -401,18 +400,6 @@ def test_failing_report_matches_schema(monkeypatch, tmp_path, capsys):
 
 
 # the complete-flag walk and the remaining budgets ----------------------------
-
-
-@pytest.mark.parametrize("gspec", ["1", "Z2", "Z3", "Z4", "Z2xZ2"])
-def test_complete_flags_come_in_the_order_of_the_recursive_walk(gspec):
-    # the order the recursive walk gave: by length, then by the ranks of the
-    # characters, as the reference's filter of every tail gives it
-    group = verify.parse_group(gspec)
-    for max_len in range(1, 8):
-        flags = _complete_flags(group, max_len)
-        assert not isinstance(flags, list)  # a generator, as tests patch it
-        want = reference.complete_flags(group.cyclic_orders, max_len)
-        assert [tuple(c.residues for c in f.chars) for f in flags] == list(want)
 
 
 def test_the_trivial_group_sweeps_flags_of_length_1000():
