@@ -476,7 +476,7 @@ def test_complete_flags_match_filtering_every_length(spec):
 
 
 @pytest.mark.parametrize("spec, max_len", [("Z3", 8), ("Z2xZ2", 7), ("Z5", 7), ("1", 7), ("Z2", 7),
-                                           ("Z4", 7)])
+                                           ("Z4", 7), ("Z3", 9), ("Z2xZ2", 8)])
 def test_complete_flags_match_filtering_past_the_group_order(spec, max_len):
     _assert_complete_flags_are_the_reference(parse_group(spec), max_len)
 
